@@ -13,6 +13,12 @@
    - terminators are fused with their edge bookkeeping: the edge id,
      whether it ends the current path, the specialized instrumentation
      actions and their precomputed total cost all sit in the opcode;
+   - whether a terminator does edge work at all is decided here too:
+     each comes in a plain form and a [_prof] form, and only the latter
+     makes the VM call [traverse]. A terminator is [_prof] when the run
+     counts edges or traces paths, or when one of its edges carries
+     instrumentation actions, so uninstrumented routines, off-burst
+     frames and tiered-up code pay nothing per edge;
    - register indices are validated here, so the VM may use unchecked
      register accesses; an out-of-range index lowers to a [Trap] that
      faults only if executed, like the reference engine's lazy error.
@@ -99,6 +105,8 @@ type op =
   | Trap of { msg : string }
       (* ill-formed instruction (register out of range); faults lazily *)
   | Jump of { target : int; edge : edge_ops }
+      (* also a branch on an immediate condition: one arm, still
+         branch-priced through the cost table *)
   | Branch_r of {
       cond : int;
       then_ : int;
@@ -106,17 +114,29 @@ type op =
       else_ : int;
       else_edge : edge_ops;
     }
-  | Branch_const of { target : int; edge : edge_ops }
-      (* Branch on an immediate condition: one arm, still branch-priced *)
   | Return_r of { src : int; edge : edge_ops }
   | Return_i of { imm : int; edge : edge_ops }
   | Return_none of { edge : edge_ops }
+  (* The same terminators doing edge work: the VM runs [traverse] on the
+     taken edge before transferring control. *)
+  | Jump_prof of { target : int; edge : edge_ops }
+  | Branch_r_prof of {
+      cond : int;
+      then_ : int;
+      then_edge : edge_ops;
+      else_ : int;
+      else_edge : edge_ops;
+    }
+  | Return_r_prof of { src : int; edge : edge_ops }
+  | Return_i_prof of { imm : int; edge : edge_ops }
+  | Return_none_prof of { edge : edge_ops }
 
 (* A routine may carry several lowered bodies at once — the variant
    table. [Instrumented] and [Plain] are the specialize_code pair:
-   identical length, offsets and costs (only terminator actions differ),
-   so bursty sampling swaps a frame between them mid-run with every pc
-   still valid. [Optimized] generations are full re-lowerings under a
+   identical length, offsets and costs (only terminators differ, in
+   their actions and in whether they do edge work), so bursty sampling
+   swaps a frame between them mid-run with every pc still valid.
+   [Optimized] generations are full re-lowerings under a
    hot-path-first block order with instrumentation stripped: same block
    set, same per-block opcode runs (segments never span blocks), only
    placement differs, so a frame crosses onto one at any block boundary
@@ -140,7 +160,7 @@ type plan = {
   v_instr : int;
       (* the variant new frames enter while collecting: the specialized
          [Instrumented] stream, or [v_plain] when uninstrumented *)
-  v_plain : int; (* the structural (uninstrumented) stream *)
+  v_plain : int; (* the uninstrumented stream *)
   mutable cur : int;
       (* the variant new frames resolve to once tiered: starts at
          [v_instr]; a tier-up swap retargets it at an [Optimized]
@@ -378,7 +398,7 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
             let target, edge =
               if v <> 0 then (l1, then_edge) else (l2, else_edge)
             in
-            flush ~term:(Some (Branch_const { target; edge }, c)))
+            flush ~term:(Some (Jump { target; edge }, c)))
     | Ir.Return v -> (
         let e = Cfg_view.return_edge view bi in
         let edge = edge_ops ~ends_path:true e in
@@ -421,8 +441,6 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
     Array.map
       (function
         | Jump { target; edge } -> Jump { target = block_offset.(target); edge }
-        | Branch_const { target; edge } ->
-            Branch_const { target = block_offset.(target); edge }
         | Branch_r { cond; then_; then_edge; else_; else_edge } ->
             Branch_r
               {
@@ -454,42 +472,60 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
 
 let structural_variant (p : plan) = p.variants.(p.v_plain)
 
-(* Rebuild only the terminator opcodes of a structural plan, attaching
-   the run's instrumentation actions. Everything else — including the
-   Fuel segmentation and the per-op cost table — is instrumentation-
+(* Rebuild only the terminator opcodes of a structural stream: [spec]
+   attaches each edge's instrumentation actions, and a terminator takes
+   its [_prof] form when any of its edges does work — every edge when
+   the run counts edges or traces paths ([counting]), otherwise the
+   edges with actions. Everything else — including the Fuel
+   segmentation and the per-op cost table — is instrumentation-
    independent (action costs are charged by [Vm.traverse] from
    [acts_cost]), so the arrays are shared. *)
-let specialize_code ~ri ~table (splan : plan) =
-  Obs.incr m_lower_specialize;
-  let spec (eo : edge_ops) =
-    match ri.Instr_rt.edge_actions.(eo.edge) with
-    | [] -> eo
-    | src_acts ->
-        {
-          eo with
-          acts = Array.of_list (List.map (compile_action table) src_acts);
-          acts_cost = Cost.actions ~table:ri.Instr_rt.table src_acts;
-          act_kinds = Array.of_list (List.map Instr_rt.action_index src_acts);
-        }
-  in
+let specialize_code ~counting ~spec code =
+  let work (eo : edge_ops) = counting || Array.length eo.acts > 0 in
   Array.map
     (function
-      | Jump { target; edge } -> Jump { target; edge = spec edge }
+      | Jump { target; edge } ->
+          let edge = spec edge in
+          if work edge then Jump_prof { target; edge } else Jump { target; edge }
       | Branch_r { cond; then_; then_edge; else_; else_edge } ->
-          Branch_r
-            {
-              cond;
-              then_;
-              then_edge = spec then_edge;
-              else_;
-              else_edge = spec else_edge;
-            }
-      | Branch_const { target; edge } -> Branch_const { target; edge = spec edge }
-      | Return_r { src; edge } -> Return_r { src; edge = spec edge }
-      | Return_i { imm; edge } -> Return_i { imm; edge = spec edge }
-      | Return_none { edge } -> Return_none { edge = spec edge }
+          let then_edge = spec then_edge and else_edge = spec else_edge in
+          if work then_edge || work else_edge then
+            Branch_r_prof { cond; then_; then_edge; else_; else_edge }
+          else Branch_r { cond; then_; then_edge; else_; else_edge }
+      | Return_r { src; edge } ->
+          let edge = spec edge in
+          if work edge then Return_r_prof { src; edge } else Return_r { src; edge }
+      | Return_i { imm; edge } ->
+          let edge = spec edge in
+          if work edge then Return_i_prof { imm; edge } else Return_i { imm; edge }
+      | Return_none { edge } ->
+          let edge = spec edge in
+          if work edge then Return_none_prof { edge } else Return_none { edge }
       | op -> op)
-    (structural_variant splan).v_code
+    code
+
+(* [ri]'s actions for one edge, with the frequency table resolved. *)
+let attach_actions ~ri ~table (eo : edge_ops) =
+  match ri.Instr_rt.edge_actions.(eo.edge) with
+  | [] -> eo
+  | src_acts ->
+      {
+        eo with
+        acts = Array.of_list (List.map (compile_action table) src_acts);
+        acts_cost = Cost.actions ~table:ri.Instr_rt.table src_acts;
+        act_kinds = Array.of_list (List.map Instr_rt.action_index src_acts);
+      }
+
+(* Edge counting and path tracing are run-wide: a plan whose run does
+   either has every variant's terminators do edge work; otherwise only
+   an [Instrumented] stream's do. *)
+let counts (plan : plan) = plan.edge_counts <> None || plan.intern <> None
+
+(* [plan]'s uninstrumented stream built from structural variant [v]. *)
+let plain_variant plan v =
+  if counts plan then
+    { v with v_code = specialize_code ~counting:true ~spec:Fun.id v.v_code }
+  else v
 
 (* ------------------------------------------------------------------ *)
 (* Structural-plan cache.
@@ -502,6 +538,10 @@ let specialize_code ~ri ~table (splan : plan) =
 
 type centry = {
   fp : int;
+  mutable c_routine : Ir.routine;
+      (* the routine last validated against this entry: IR values are
+         never mutated in place, so meeting the same physical routine
+         again is a hit without re-fingerprinting it *)
   c_nregs : int;
   c_order : int array option;
       (* block emission order the plan was lowered under; [None] for the
@@ -579,75 +619,80 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
             Some o
         | _ -> None)
   in
+  let lower ?order r =
+    Obs.incr m_lower_miss;
+    lower_structural ?analysis ?order ~arrays ~routine_index:index r
+  in
   let structural (r : Ir.routine) =
     let order = order_of r in
     match structs with
-    | None ->
-        Obs.incr m_lower_miss;
-        lower_structural ?analysis ?order ~arrays ~routine_index:index r
+    | None -> lower ?order r
     | Some tbl -> (
-        let fp = Fingerprint.routine r in
         match Hashtbl.find_opt tbl r.Ir.name with
-        | Some e when e.fp = fp && e.c_nregs = r.Ir.nregs && e.c_order = order
-          ->
+        | Some e when e.c_routine == r && e.c_order = order ->
             Obs.incr m_lower_hit;
             e.splan
-        | _ ->
-            Obs.incr m_lower_miss;
-            let splan =
-              lower_structural ?analysis ?order ~arrays ~routine_index:index r
-            in
-            Hashtbl.replace tbl r.Ir.name
-              { fp; c_nregs = r.Ir.nregs; c_order = order; splan };
-            splan)
+        | found -> (
+            let fp = Fingerprint.routine r in
+            match found with
+            | Some e
+              when e.fp = fp && e.c_nregs = r.Ir.nregs && e.c_order = order ->
+                Obs.incr m_lower_hit;
+                e.c_routine <- r;
+                e.splan
+            | _ ->
+                let splan = lower ?order r in
+                Hashtbl.replace tbl r.Ir.name
+                  { fp; c_routine = r; c_nregs = r.Ir.nregs; c_order = order; splan };
+                splan))
   in
   let plans =
     Array.of_list
       (List.map
          (fun (r : Ir.routine) ->
            let splan = structural r in
+           let nedges = Graph.num_edges (Cfg_view.graph splan.view) in
+           let plan =
+             {
+               splan with
+               edge_counts =
+                 (if config.Engine.collect_edges then
+                    Some (Edge_profile.create ~nedges)
+                  else None);
+               intern =
+                 (if config.Engine.trace_paths then
+                    Some (Path_profile.Intern.create ())
+                  else None);
+             }
+           in
            let sv = structural_variant splan in
+           let plain = plain_variant plan sv in
            (* The run's variant table is always a fresh array (and the
               plan a fresh record): [tier_up] swaps [cur] and appends
               variants mid-run, and neither may leak into the cached
               structural plan shared with the next run. *)
            let variants, v_instr, v_plain =
              match config.Engine.instrumentation with
-             | None -> ([| sv |], 0, 0)
+             | None -> ([| plain |], 0, 0)
              | Some instr -> (
                  match Hashtbl.find_opt instr r.Ir.name with
-                 | None -> ([| sv |], 0, 0)
+                 | None -> ([| plain |], 0, 0)
                  | Some ri ->
                      let table = Hashtbl.find_opt instr_tables r.Ir.name in
-                     let icode = specialize_code ~ri ~table splan in
+                     Obs.incr m_lower_specialize;
+                     let icode =
+                       specialize_code ~counting:(counts plan)
+                         ~spec:(attach_actions ~ri ~table)
+                         sv.v_code
+                     in
                      ( [|
-                         {
-                           v_kind = Instrumented;
-                           v_code = icode;
-                           v_costs = sv.v_costs;
-                           v_offsets = sv.v_offsets;
-                         };
-                         sv;
+                         { sv with v_kind = Instrumented; v_code = icode };
+                         plain;
                        |],
                        0,
                        1 ))
            in
-           let nedges = Graph.num_edges (Cfg_view.graph splan.view) in
-           {
-             splan with
-             variants;
-             v_instr;
-             v_plain;
-             cur = v_instr;
-             edge_counts =
-               (if config.Engine.collect_edges then
-                  Some (Edge_profile.create ~nedges)
-                else None);
-             intern =
-               (if config.Engine.trace_paths then
-                  Some (Path_profile.Intern.create ())
-                else None);
-           })
+           { plan with variants; v_instr; v_plain; cur = v_instr })
          p.Ir.routines)
   in
   let main =
@@ -690,7 +735,7 @@ let tier_up ?cache (prog : program) ~idx ~order ~gen =
         lower_structural ?analysis ?order ~arrays:prog.arrays
           ~routine_index:prog.index r
       in
-      let sv = structural_variant splan in
+      let v = plain_variant plan (structural_variant splan) in
       plan.variants <-
-        Array.append plan.variants [| { sv with v_kind = Optimized gen } |];
+        Array.append plan.variants [| { v with v_kind = Optimized gen } |];
       plan.cur <- Array.length plan.variants - 1

@@ -8,7 +8,9 @@
     cost table for the exact remainder bill on fuel exhaustion),
     terminators are fused with their edge bookkeeping, and each edge's
     instrumentation is specialized into {!pre_action}s with the frequency
-    table already in hand. Register indices are validated here so the VM
+    table already in hand. Lowering also decides which terminators do
+    edge work at all (the [_prof] opcodes), so the VM has no run-wide
+    profiling switch. Register indices are validated here so the VM
     can use unchecked register accesses; an out-of-range index lowers to
     a lazily-faulting {!op.Trap}, and unknown array/routine names lower
     to opcodes raising the reference engine's exact errors. *)
@@ -64,6 +66,7 @@ type op =
   | Unknown_routine of { name : string }
   | Trap of { msg : string }
   | Jump of { target : int; edge : edge_ops }
+      (** also a branch on an immediate condition *)
   | Branch_r of {
       cond : int;
       then_ : int;
@@ -71,16 +74,32 @@ type op =
       else_ : int;
       else_edge : edge_ops;
     }
-  | Branch_const of { target : int; edge : edge_ops }
   | Return_r of { src : int; edge : edge_ops }
   | Return_i of { imm : int; edge : edge_ops }
   | Return_none of { edge : edge_ops }
+  | Jump_prof of { target : int; edge : edge_ops }
+      (** The [_prof] forms are the same terminators doing edge work:
+          {!Vm} runs [traverse] (edge count, path trace, instrumentation
+          actions) on the taken edge first. Lowering picks them when the
+          run counts edges or traces paths, or when the terminator has an
+          edge with actions; every other terminator dispatches without
+          edge work. *)
+  | Branch_r_prof of {
+      cond : int;
+      then_ : int;
+      then_edge : edge_ops;
+      else_ : int;
+      else_edge : edge_ops;
+    }
+  | Return_r_prof of { src : int; edge : edge_ops }
+  | Return_i_prof of { imm : int; edge : edge_ops }
+  | Return_none_prof of { edge : edge_ops }
 
 (** One lowered body of a routine. A plan carries a whole table of
     these: the [Instrumented]/[Plain] pair produced by specialization
-    (identical length, offsets and costs — only terminator actions
-    differ, so bursty sampling swaps a frame between them mid-run with
-    every pc still valid), plus any [Optimized] generations minted by
+    (identical length, offsets and costs — only terminators differ, in
+    their actions and in whether they do edge work, so bursty sampling
+    swaps a frame between them mid-run with every pc still valid), plus any [Optimized] generations minted by
     {!tier_up} (full re-lowerings under a hot-path-first block order
     with instrumentation stripped; same block set and per-block opcode
     runs, so a frame crosses onto one at any block boundary by mapping
@@ -102,7 +121,7 @@ type plan = {
   v_instr : int;
       (** the variant new frames enter while collecting; [= v_plain]
           when the routine is uninstrumented *)
-  v_plain : int;  (** the structural (uninstrumented) stream *)
+  v_plain : int;  (** the uninstrumented stream *)
   mutable cur : int;
       (** the variant new frames resolve to once tiered: starts at
           [v_instr]; a tier-up swap moves it. [cur <> v_instr] is the
@@ -145,7 +164,9 @@ val is_identity_order : int array -> bool
     ([Ppp_resilience.Fingerprint.routine], [nregs], environment
     signature); the environment signature covers the routine name order
     and the array set, because Call opcodes embed callee plan indices
-    and Load/Store opcodes embed backing-array refs. Mutable run state
+    and Load/Store opcodes embed backing-array refs. An entry met again
+    with the very routine value it was last validated against is reused
+    without fingerprinting (IR values are never mutated in place). Mutable run state
     (array contents, edge counters, intern tables) is recreated or wiped
     per run, so cached runs are byte-identical to cold ones.
 
@@ -170,19 +191,17 @@ val program :
   Ppp_ir.Ir.program ->
   program
 (** Lower every routine, reusing structural plans from [cache] when
-    their fingerprints still match. Raises {!Engine.Runtime_error} if
+    their routines still match. Raises {!Engine.Runtime_error} if
     [main] is unknown (matching the reference engine). *)
-
-val structural_variant : plan -> variant
-(** The plan's structural (plain) variant. *)
 
 val tier_up : ?cache:cache -> program -> idx:int -> order:int array option -> gen:int -> unit
 (** Mid-run tier-up of routine [idx]: retire its instrumented variant
     for optimized generation [gen]. With a genuine (valid,
     non-identity) [order], re-lowers the routine under that block order
     — against the program's live arrays, so it is safe mid-execution —
-    and appends the result to the variant table; otherwise the plain
-    variant already is the optimized body. Only the plan's [cur] slot
+    and appends the result to the variant table (its terminators do
+    edge work only if the run counts edges or traces paths); otherwise
+    the plain variant already is the optimized body. Only the plan's [cur] slot
     moves: frames in flight keep their entry-time variant until their
     next OSR point, and no other routine is touched. [cache] supplies
     memoized CFG/loop analyses, never code (the order is baked into

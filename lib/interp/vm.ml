@@ -59,7 +59,6 @@ type state = {
   mutable instr_cost : int;
   mutable dyn_paths : int;
   mutable out_rev : int list;
-  prof_on : bool; (* any edge counting, path tracing or instrumentation *)
   trace_on : bool;
   obs_on : bool; (* metrics flag, latched at run start *)
   count_calls : bool; (* metrics or telemetry want the call total *)
@@ -187,9 +186,11 @@ let store d (a : L.arr) i v =
   if i < 0 || i >= Array.length d then bounds_error a i;
   Array.unsafe_set d i v
 
-(* With edge counting, path tracing and instrumentation all off,
-   [traverse] is a no-op; the dispatch loop skips the call entirely via
-   [st.prof_on], so an unprofiled run pays nothing per edge. *)
+(* The edge work of one taken edge: count it, extend the traced path,
+   run its instrumentation actions. Only the [_prof] terminators call
+   this; [Lower] gives that form to a terminator only when the run counts
+   edges or traces paths, or an edge of it carries actions, so plain
+   streams, off-burst frames and tiered-up code never reach it. *)
 let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
   (match plan.L.edge_counts with
   | Some c -> Edge_profile.incr c eo.L.edge
@@ -266,7 +267,9 @@ let exec_pure st regs op =
   | L.Unknown_array { name } -> E.error "unknown array %s" name
   | L.Trap { msg } -> raise (E.Runtime_error msg)
   | L.Fuel _ | L.Call _ | L.Unknown_routine _ | L.Jump _ | L.Branch_r _
-  | L.Branch_const _ | L.Return_r _ | L.Return_i _ | L.Return_none _ ->
+  | L.Return_r _ | L.Return_i _ | L.Return_none _ | L.Jump_prof _
+  | L.Branch_r_prof _ | L.Return_r_prof _ | L.Return_i_prof _
+  | L.Return_none_prof _ ->
       assert false
 
 (* Fuel ran out inside this segment: with [f] fuel left, the reference
@@ -294,8 +297,9 @@ let exhaust st (frame : frame) regs pc =
    frames in the instrumented/plain pair, whose offsets coincide. *)
 let instrumented_edge (plan : L.plan) pc edge_id =
   match plan.L.variants.(plan.L.v_instr).L.v_code.(pc) with
-  | L.Jump { edge; _ } | L.Branch_const { edge; _ } -> edge
-  | L.Branch_r { then_edge; else_edge; _ } ->
+  | L.Jump { edge; _ } | L.Jump_prof { edge; _ } -> edge
+  | L.Branch_r { then_edge; else_edge; _ }
+  | L.Branch_r_prof { then_edge; else_edge; _ } ->
       if then_edge.L.edge = edge_id then then_edge else else_edge
   | _ -> assert false
 
@@ -392,6 +396,14 @@ let redecide st (frame : frame) (plan : L.plan) pc edge_id target =
     frame.fcosts <- v.L.v_costs;
     target
   end
+
+(* An edge's pass through the resolution point: [redecide]'s answer
+   when sampling or tiering is on and the edge ends a path, -1 (stream
+   unchanged) otherwise. *)
+let resolve st frame plan pc (eo : L.edge_ops) target =
+  if st.redecide_on && eo.L.ends_path then
+    redecide st frame plan pc eo.L.edge target
+  else -1
 
 let do_return st (frame : frame) value =
   st.depth <- st.depth - 1;
@@ -552,45 +564,48 @@ let rec run_frames st (frame : frame) start_pc =
         E.error "unknown routine %s" name
     | L.Unknown_array { name } -> E.error "unknown array %s" name
     | L.Trap { msg } -> raise (E.Runtime_error msg)
+    (* Terminators: the [_prof] forms do their edge work first (Lower
+       chose which terminators have any), then every taken edge passes
+       the resolution point; a changed stream re-enters [run_frames] so
+       the code array is rebound. *)
     | L.Jump { target; edge } ->
-        if st.prof_on then traverse st frame plan edge;
-        if st.redecide_on && edge.L.ends_path then begin
-          let t = redecide st frame plan pc edge.L.edge target in
-          if t >= 0 then run_frames st frame t else go target
-        end
-        else go target
+        let t = resolve st frame plan pc edge target in
+        if t >= 0 then run_frames st frame t else go target
+    | L.Jump_prof { target; edge } ->
+        traverse st frame plan edge;
+        let t = resolve st frame plan pc edge target in
+        if t >= 0 then run_frames st frame t else go target
     | L.Branch_r { cond; then_; then_edge; else_; else_edge } ->
         if Array.unsafe_get regs cond <> 0 then begin
-          if st.prof_on then traverse st frame plan then_edge;
-          if st.redecide_on && then_edge.L.ends_path then begin
-            let t = redecide st frame plan pc then_edge.L.edge then_ in
-            if t >= 0 then run_frames st frame t else go then_
-          end
-          else go then_
+          let t = resolve st frame plan pc then_edge then_ in
+          if t >= 0 then run_frames st frame t else go then_
         end
         else begin
-          if st.prof_on then traverse st frame plan else_edge;
-          if st.redecide_on && else_edge.L.ends_path then begin
-            let t = redecide st frame plan pc else_edge.L.edge else_ in
-            if t >= 0 then run_frames st frame t else go else_
-          end
-          else go else_
+          let t = resolve st frame plan pc else_edge else_ in
+          if t >= 0 then run_frames st frame t else go else_
         end
-    | L.Branch_const { target; edge } ->
-        if st.prof_on then traverse st frame plan edge;
-        if st.redecide_on && edge.L.ends_path then begin
-          let t = redecide st frame plan pc edge.L.edge target in
-          if t >= 0 then run_frames st frame t else go target
+    | L.Branch_r_prof { cond; then_; then_edge; else_; else_edge } ->
+        if Array.unsafe_get regs cond <> 0 then begin
+          traverse st frame plan then_edge;
+          let t = resolve st frame plan pc then_edge then_ in
+          if t >= 0 then run_frames st frame t else go then_
         end
-        else go target
-    | L.Return_r { src; edge } ->
-        if st.prof_on then traverse st frame plan edge;
+        else begin
+          traverse st frame plan else_edge;
+          let t = resolve st frame plan pc else_edge else_ in
+          if t >= 0 then run_frames st frame t else go else_
+        end
+    | L.Return_r { src; _ } -> ret (Some (Array.unsafe_get regs src))
+    | L.Return_i { imm; _ } -> ret (Some imm)
+    | L.Return_none _ -> ret None
+    | L.Return_r_prof { src; edge } ->
+        traverse st frame plan edge;
         ret (Some (Array.unsafe_get regs src))
-    | L.Return_i { imm; edge } ->
-        if st.prof_on then traverse st frame plan edge;
+    | L.Return_i_prof { imm; edge } ->
+        traverse st frame plan edge;
         ret (Some imm)
-    | L.Return_none { edge } ->
-        if st.prof_on then traverse st frame plan edge;
+    | L.Return_none_prof { edge } ->
+        traverse st frame plan edge;
         ret None
   and ret value =
     do_return st frame value;
@@ -642,9 +657,6 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
       instr_cost = 0;
       dyn_paths = 0;
       out_rev = [];
-      prof_on =
-        (config.E.collect_edges || config.E.trace_paths
-        || Option.is_some config.E.instrumentation);
       trace_on = config.E.trace_paths;
       obs_on = E.Obs.enabled ();
       count_calls = E.Obs.enabled () || Option.is_some config.E.telemetry;

@@ -347,9 +347,16 @@ let warm t (p : Ir.program) =
     match t.lower with
     | Some cache ->
         (* Fill the structural-plan cache too; lowering without running
-           is cheap and the plans are instrumentation-independent. *)
+           is cheap and the plans are instrumentation-independent. No
+           counting or tracing: only the structural plans are kept. *)
         ignore
-          (Lower.program ~cache ~config:Ppp_interp.Engine.default_config
+          (Lower.program ~cache
+             ~config:
+               {
+                 Ppp_interp.Engine.default_config with
+                 collect_edges = false;
+                 trace_paths = false;
+               }
              ~instr_tables:
                (Ppp_interp.Instr_rt.init_state
                   (Ppp_interp.Instr_rt.no_instrumentation ()))

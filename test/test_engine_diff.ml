@@ -13,6 +13,7 @@ module Edge_profile = Ppp_profile.Edge_profile
 module Path_profile = Ppp_profile.Path_profile
 module Interp = Ppp_interp.Interp
 module Instr_rt = Ppp_interp.Instr_rt
+module Lower = Ppp_interp.Lower
 module Spec = Ppp_workloads.Spec
 module Gen = Ppp_workloads.Gen
 module Config = Ppp_core.Config
@@ -167,20 +168,138 @@ let overflow_policy () =
     [ 1; 16; Instr_rt.Table.default_overflow_cap ]
 
 (* With edge collection and tracing off (the benchmark configuration)
-   the engines must still agree on costs and termination. *)
+   the engines must still agree on costs, termination and table state,
+   with and without instrumentation: here only the terminators [Lower]
+   marks as doing edge work run any. *)
 let bare_config () =
   List.iter
     (fun (bench : Spec.bench) ->
       let p = bench.Spec.build ~scale:1 in
-      let config =
-        {
-          Interp.default_config with
-          Interp.collect_edges = false;
-          trace_paths = false;
-        }
-      in
-      check_diff (bench.Spec.bench_name ^ "/bare") config p)
+      List.iter
+        (fun (mname, instrumentation) ->
+          let config =
+            {
+              Interp.default_config with
+              Interp.collect_edges = false;
+              trace_paths = false;
+              instrumentation;
+            }
+          in
+          check_diff
+            (Printf.sprintf "%s/%s/bare" bench.Spec.bench_name mname)
+            config p)
+        (methods p))
     Spec.all
+
+(* [Lower] alone decides which terminators do edge work (the [_prof]
+   forms): with counting and tracing off, only terminators with an
+   instrumented edge do, so a routine PPP skipped and the plain stream
+   of one it instrumented do none; with either on, every terminator of
+   every variant does, tier-up generations included. *)
+let lowered_edge_work () =
+  (* (terminators doing edge work, terminators whose edge work differs
+     from "an edge of it has actions", all terminators) *)
+  let census (v : Lower.variant) =
+    let acts (eo : Lower.edge_ops) = Array.length eo.Lower.acts > 0 in
+    Array.fold_left
+      (fun (w, odd, n) op ->
+        let term prof instrumented =
+          ( (if prof then w + 1 else w),
+            (if prof <> instrumented then odd + 1 else odd),
+            n + 1 )
+        in
+        match op with
+        | Lower.Jump_prof { edge; _ }
+        | Lower.Return_r_prof { edge; _ }
+        | Lower.Return_i_prof { edge; _ }
+        | Lower.Return_none_prof { edge } ->
+            term true (acts edge)
+        | Lower.Branch_r_prof { then_edge; else_edge; _ } ->
+            term true (acts then_edge || acts else_edge)
+        | Lower.Jump { edge; _ }
+        | Lower.Return_r { edge; _ }
+        | Lower.Return_i { edge; _ }
+        | Lower.Return_none { edge } ->
+            term false (acts edge)
+        | Lower.Branch_r { then_edge; else_edge; _ } ->
+            term false (acts then_edge || acts else_edge)
+        | _ -> (w, odd, n))
+      (0, 0, 0) v.Lower.v_code
+  in
+  let skipped = ref 0 and instrumented = ref 0 and tiered = ref 0 in
+  let idle = ref 0 (* instrumented-stream terminators without edge work *) in
+  List.iter
+    (fun (bench : Spec.bench) ->
+      let p = bench.Spec.build ~scale:1 in
+      let rt = (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt in
+      let lower ~collect_edges ~trace_paths =
+        let config =
+          {
+            Interp.default_config with
+            Interp.collect_edges;
+            trace_paths;
+            instrumentation = Some rt;
+          }
+        in
+        Lower.program ~config ~instr_tables:(Instr_rt.init_state rt) p
+      in
+      let label (plan : Lower.plan) what =
+        Printf.sprintf "%s/%s: %s" bench.Spec.bench_name
+          plan.Lower.routine.Ir.name what
+      in
+      (* A genuine re-layout (the entry first, the rest reversed), so the
+         tier-up below re-lowers instead of reusing the plain stream. *)
+      let tier_up prog (plan : Lower.plan) =
+        let n = Array.length plan.Lower.routine.Ir.blocks in
+        let order = Array.init n (fun i -> if i = 0 then 0 else n - i) in
+        Lower.tier_up prog ~idx:plan.Lower.r_id ~order:(Some order) ~gen:1;
+        plan.Lower.variants.(plan.Lower.cur)
+      in
+      let quiet = lower ~collect_edges:false ~trace_paths:false in
+      Array.iter
+        (fun (plan : Lower.plan) ->
+          let plain = plan.Lower.variants.(plan.Lower.v_plain) in
+          let w, _, _ = census plain in
+          Alcotest.(check int) (label plan "plain stream does no edge work") 0 w;
+          if Hashtbl.mem rt plan.Lower.routine.Ir.name then begin
+            incr instrumented;
+            let w, odd, n = census plan.Lower.variants.(plan.Lower.v_instr) in
+            idle := !idle + n - w;
+            Alcotest.(check int)
+              (label plan "instrumented stream: edge work iff actions")
+              0 odd
+          end
+          else begin
+            incr skipped;
+            Alcotest.(check int) (label plan "one variant") 1
+              (Array.length plan.Lower.variants)
+          end;
+          if Array.length plan.Lower.routine.Ir.blocks > 2 then begin
+            let w, _, _ = census (tier_up quiet plan) in
+            Alcotest.(check int) (label plan "quiet tier-up does no edge work") 0 w
+          end)
+        quiet.Lower.plans;
+      List.iter
+        (fun (collect_edges, trace_paths) ->
+          let prog = lower ~collect_edges ~trace_paths in
+          Array.iter
+            (fun (plan : Lower.plan) ->
+              let all_work what v =
+                let w, _, n = census v in
+                Alcotest.(check int) (label plan what) n w
+              in
+              Array.iter (all_work "counted variant does edge work") plan.Lower.variants;
+              if Array.length plan.Lower.routine.Ir.blocks > 2 then begin
+                incr tiered;
+                all_work "counted tier-up does edge work" (tier_up prog plan)
+              end)
+            prog.Lower.plans)
+        [ (true, false); (false, true) ])
+    Spec.all;
+  Alcotest.(check bool) "PPP skips some routines" true (!skipped > 0);
+  Alcotest.(check bool) "PPP instruments some routines" true (!instrumented > 0);
+  Alcotest.(check bool) "some routines tier up" true (!tiered > 0);
+  Alcotest.(check bool) "instrumented streams skip idle edges" true (!idle > 0)
 
 (* The interp.* and rt.* metrics streams must be engine-invariant. *)
 let metrics_diff () =
@@ -237,6 +356,7 @@ let suite =
       Alcotest.test_case "fuel sweep" `Quick fuel_sweep;
       Alcotest.test_case "overflow policy" `Quick overflow_policy;
       Alcotest.test_case "bare config" `Quick bare_config;
+      Alcotest.test_case "lowering decides edge work" `Quick lowered_edge_work;
       Alcotest.test_case "metrics" `Quick metrics_diff;
       QCheck_alcotest.to_alcotest qcheck_diff;
     ]
