@@ -195,9 +195,11 @@ let timing benches =
    Raw interpreted instructions per second, per engine, on the optimized
    program with profiling bookkeeping off — the number the pre-lowered
    VM exists to improve. Each engine gets a warm-up run (which also
-   yields the exact dyn_instrs of the workload), then repeated timed
-   runs until [min_time] seconds total; the best run is reported so a
-   single scheduler hiccup cannot poison the figure. *)
+   yields the exact dyn_instrs of the workload and, for the VM, leaves
+   the program lowered in the VM's own cache, so timed runs do not
+   re-lower it), then repeated timed runs until [min_time] seconds
+   total; the best run is reported so a single scheduler hiccup cannot
+   poison the figure. *)
 
 let throughput_one ~min_time (pb : R.prepared_bench) =
   let p = pb.R.prep.H.optimized in

@@ -64,6 +64,7 @@ let no_cache_arg =
     "Disable the analysis session: every CFG view, dominator tree, loop \
      nest, flow context and placement decision is recomputed from \
      scratch instead of being served from the content-addressed store. \
+     The VM still reuses the lowering of a program it has just run. \
      Results are byte-identical with and without the cache; only the \
      amount of work differs."
   in

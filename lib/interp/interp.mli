@@ -116,8 +116,9 @@ val run :
     engines produce identical outcomes on well-formed programs (programs
     that fail [Ppp_ir.Check] may fault with different error messages).
     [cache], used only by the {!Vm} engine, memoizes structural lowering
-    across runs (see {!Lower.cache}); outcomes are byte-identical with
-    and without it.
+    across runs (see {!Lower.cache}); without it the VM keeps a cache of
+    its own, so repeated runs of the same program value lower it once.
+    Outcomes are byte-identical either way.
     @raise Runtime_error on a genuine dynamic fault, including — in
     either engine, up front — a call whose argument count exceeds the
     callee's register file. *)

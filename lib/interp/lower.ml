@@ -1,6 +1,6 @@
-(* The pre-lowering pass: compile each routine, once per run, into a
-   contiguous opcode array the VM can dispatch on without touching the
-   AST again. Lowering resolves everything resolvable ahead of time:
+(* The pre-lowering pass: compile each routine into a contiguous opcode
+   array the VM can dispatch on without touching the AST again.
+   Lowering resolves everything resolvable ahead of time:
 
    - operand shapes become distinct opcodes (register indices and
      immediates inlined, no [Ir.operand] match at runtime);
@@ -33,10 +33,10 @@
    instrumentation actions) depends only on the routine body, its
    register file, and the program environment (routine order, arrays);
    *specialization* rebuilds just the terminator opcodes to attach the
-   run's instrumentation pre-actions. A {!cache} keyed by routine
-   fingerprint keeps structural plans warm between runs; mutable run
-   state (edge counters, path intern tables, array contents) is always
-   fresh, so a cached run is byte-identical to a cold one. *)
+   run's instrumentation pre-actions. A {!cache} keeps structural plans
+   warm between runs of the same routine values; mutable run state
+   (edge counters, path intern tables, array contents) is always fresh,
+   so a cached run is byte-identical to a cold one. *)
 
 module Graph = Ppp_cfg.Graph
 module Loop = Ppp_cfg.Loop
@@ -44,7 +44,6 @@ module Ir = Ppp_ir.Ir
 module Cfg_view = Ppp_ir.Cfg_view
 module Edge_profile = Ppp_profile.Edge_profile
 module Path_profile = Ppp_profile.Path_profile
-module Fingerprint = Ppp_resilience.Fingerprint
 module Obs = Ppp_obs.Metrics
 
 let m_lower_hit = Obs.counter "session.lower.hit"
@@ -530,19 +529,14 @@ let plain_variant plan v =
 (* ------------------------------------------------------------------ *)
 (* Structural-plan cache.
 
-   Validity of a cached plan is (fingerprint, nregs, environment
-   signature): the fingerprint covers the blocks and CFG edges but not
-   the register file, and Call opcodes embed callee *plan indices* and
+   A cached plan is valid for the physically same routine value under
+   the same environment signature and block order: IR values are never
+   mutated in place, and Call opcodes embed callee *plan indices* and
    Load/Store opcodes embed backing-array refs, so any change to the
    routine name order or the array set flushes the whole cache. *)
 
 type centry = {
-  fp : int;
-  mutable c_routine : Ir.routine;
-      (* the routine last validated against this entry: IR values are
-         never mutated in place, so meeting the same physical routine
-         again is a hit without re-fingerprinting it *)
-  c_nregs : int;
+  c_routine : Ir.routine;
   c_order : int array option;
       (* block emission order the plan was lowered under; [None] for the
          source order. Offsets are baked into the opcodes, so a plan is
@@ -632,19 +626,10 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
         | Some e when e.c_routine == r && e.c_order = order ->
             Obs.incr m_lower_hit;
             e.splan
-        | found -> (
-            let fp = Fingerprint.routine r in
-            match found with
-            | Some e
-              when e.fp = fp && e.c_nregs = r.Ir.nregs && e.c_order = order ->
-                Obs.incr m_lower_hit;
-                e.c_routine <- r;
-                e.splan
-            | _ ->
-                let splan = lower ?order r in
-                Hashtbl.replace tbl r.Ir.name
-                  { fp; c_routine = r; c_nregs = r.Ir.nregs; c_order = order; splan };
-                splan))
+        | _ ->
+            let splan = lower ?order r in
+            Hashtbl.replace tbl r.Ir.name { c_routine = r; c_order = order; splan };
+            splan)
   in
   let plans =
     Array.of_list

@@ -1,5 +1,5 @@
-(** The pre-lowering pass: compiles each routine, once per run, into the
-    contiguous opcode array executed by {!Vm}.
+(** The pre-lowering pass: compiles each routine into the contiguous
+    opcode array executed by {!Vm}.
 
     Everything resolvable ahead of time is resolved at lower time:
     operand shapes become distinct opcodes, array names become direct
@@ -160,19 +160,22 @@ val is_identity_order : int array -> bool
     with empty instrumentation actions — pure in the routine body) and a
     {e specialization} step that rebuilds only the terminator opcodes to
     attach a run's instrumentation pre-actions. A cache memoizes
-    structural plans across runs, keyed by routine name and validated by
-    ([Ppp_resilience.Fingerprint.routine], [nregs], environment
-    signature); the environment signature covers the routine name order
-    and the array set, because Call opcodes embed callee plan indices
-    and Load/Store opcodes embed backing-array refs. An entry met again
-    with the very routine value it was last validated against is reused
-    without fingerprinting (IR values are never mutated in place). Mutable run state
-    (array contents, edge counters, intern tables) is recreated or wiped
-    per run, so cached runs are byte-identical to cold ones.
+    structural plans across runs. An entry is reused only for the
+    physically same routine value (IR values are never mutated in
+    place) under the same block order and environment signature; the
+    signature covers the routine name order and the array set, because
+    Call opcodes embed callee plan indices and Load/Store opcodes embed
+    backing-array refs, and a change to it flushes the cache. A
+    structurally equal but physically new routine (e.g. re-parsed from
+    text) is lowered again. A cache holds one program environment at a
+    time, and its plans share backing arrays with the run using them,
+    so a cache must not serve two runs at once. Mutable run state
+    (array contents, edge counters, intern tables) is recreated or
+    wiped per run, so cached runs are byte-identical to cold ones.
 
     Cache traffic is observable through the [session.lower.*] metrics:
-    [hit], [miss] (also counted for uncached runs — a cold run is all
-    misses), [specialize], and [env_flush]. *)
+    [hit], [miss] (one per structural lowering, cached or not),
+    [specialize], and [env_flush]. *)
 
 type cache
 
@@ -190,8 +193,9 @@ val program :
   instr_tables:Instr_rt.state ->
   Ppp_ir.Ir.program ->
   program
-(** Lower every routine, reusing structural plans from [cache] when
-    their routines still match. Raises {!Engine.Runtime_error} if
+(** Lower every routine, reusing structural plans from [cache] where
+    they are valid (see above); without [cache] every routine is lowered
+    cold. Raises {!Engine.Runtime_error} if
     [main] is unknown (matching the reference engine). *)
 
 val tier_up : ?cache:cache -> program -> idx:int -> order:int array option -> gen:int -> unit

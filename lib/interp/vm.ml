@@ -616,7 +616,7 @@ let rec run_frames st (frame : frame) start_pc =
   in
   go start_pc
 
-let run ?cache ~(config : E.config) (p : Ir.program) =
+let exec ?cache ~(config : E.config) (p : Ir.program) =
   E.validate_call_arities p;
   let instr_tables =
     match config.E.instrumentation with
@@ -745,3 +745,20 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
     tier_decisions =
       (match st.tier with Some tc -> Tier.decisions tc | None -> []);
   }
+
+(* The VM's own structural-plan cache, serving every run that brings
+   none, so repeated runs of one program value lower it once. Its plans
+   share backing arrays with the run using them, so a run that starts
+   while it is in use (a tier planner calling [Interp.run]) lowers
+   without it. *)
+let own_cache = L.create_cache ()
+let own_busy = ref false
+
+let run ?cache ~config p =
+  match cache with
+  | None when not !own_busy ->
+      own_busy := true;
+      Fun.protect
+        ~finally:(fun () -> own_busy := false)
+        (fun () -> exec ~cache:own_cache ~config p)
+  | _ -> exec ?cache ~config p

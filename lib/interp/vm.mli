@@ -11,4 +11,7 @@
 val run :
   ?cache:Lower.cache -> config:Engine.config -> Ppp_ir.Ir.program -> Engine.outcome
 (** [cache] memoizes structural lowering across runs (see {!Lower.cache}).
+    Without it the VM uses a cache of its own, so repeated runs of the
+    same program value lower it once; a run nested inside another (a
+    tier planner that runs a program) lowers cold instead.
     @raise Engine.Runtime_error on a genuine dynamic fault. *)

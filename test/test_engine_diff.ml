@@ -334,6 +334,66 @@ let metrics_diff () =
       let v = snapshot Interp.Vm in
       Alcotest.(check (list string)) "interp.*/rt.* counters" r v)
 
+(* Without [?cache] the VM reuses the lowering of the program value it
+   ran last, and identity, not name, decides a hit. Three programs share
+   every routine name and the array set: a workload, its text round trip
+   (structurally equal, physically new) and a copy with one immediate
+   changed. Runs alternating between them must each match the reference
+   engine, and only a rerun of the same value may skip lowering. *)
+let cacheless_reruns () =
+  let p = (Spec.find "vpr").Spec.build ~scale:1 in
+  let reparsed = Ppp_ir.Parse.program_of_string (Ppp_ir.Pp_ir.to_string p) in
+  let bumped =
+    let first = ref true in
+    let bump (b : Ir.block) =
+      let instrs =
+        Array.map
+          (function
+            | Ir.Mov (d, Ir.Imm n) when !first ->
+                first := false;
+                Ir.Mov (d, Ir.Imm (n + 1))
+            | i -> i)
+          b.Ir.instrs
+      in
+      { b with Ir.instrs }
+    in
+    let main = Ir.routine p p.Ir.main in
+    let main' = { main with Ir.blocks = Array.map bump main.Ir.blocks } in
+    { p with Ir.routines = List.map (fun r -> if r == main then main' else r) p.Ir.routines }
+  in
+  let instrumentation =
+    Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
+  in
+  let config = { Interp.default_config with Interp.instrumentation } in
+  let digest_of q = digest q (Interp.run ~engine:Interp.Reference ~config q) in
+  Alcotest.(check bool) "the changed immediate is observable" false
+    (digest_of p = digest_of bumped);
+  for round = 1 to 2 do
+    List.iter
+      (fun (name, q) -> check_diff (Printf.sprintf "round %d/%s" round name) config q)
+      [ ("workload", p); ("round trip", reparsed); ("one immediate changed", bumped) ]
+  done;
+  let lowerings q =
+    Obs.set_enabled true;
+    Obs.reset ();
+    ignore (Interp.run ~config q);
+    let s = Obs.snapshot () in
+    Obs.set_enabled false;
+    let n k = Option.value ~default:0 (Obs.counter_value s ("session.lower." ^ k)) in
+    (n "hit", n "miss")
+  in
+  let nroutines = List.length p.Ir.routines in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      ignore (lowerings p);
+      Alcotest.(check (pair int int)) "a rerun of the same value only hits"
+        (nroutines, 0) (lowerings p);
+      Alcotest.(check (pair int int)) "an equal but new value lowers again"
+        (0, nroutines) (lowerings reparsed))
+
 let qcheck_diff =
   QCheck.Test.make ~count:40 ~name:"random programs: Vm = Reference"
     QCheck.(small_int)
@@ -359,4 +419,5 @@ let suite =
       Alcotest.test_case "lowering decides edge work" `Quick lowered_edge_work;
       Alcotest.test_case "metrics" `Quick metrics_diff;
       QCheck_alcotest.to_alcotest qcheck_diff;
+      Alcotest.test_case "cacheless reruns" `Quick cacheless_reruns;
     ]

@@ -413,6 +413,40 @@ let tier_metrics () =
     vm
     (family Interp.Reference)
 
+(* A planner may run a program itself. That nested run starts while the
+   tiered run holds the VM's lowering cache, whose plans share backing
+   arrays with it, so it must lower without the cache. Running a copy of
+   the same program (same routine names, same arrays) inside every
+   decision must leave the tiered run byte-identical. *)
+let nested_planner_run () =
+  let p = (Spec.find "vpr").Spec.build ~scale:1 in
+  let copy = Ppp_ir.Parse.program_of_string (Ppp_ir.Pp_ir.to_string p) in
+  let instrumentation =
+    Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
+  in
+  let plan = reversal_planner p in
+  let nested = ref 0 in
+  let nesting : Tier.planner =
+   fun ~routine ~counters ->
+    ignore (Interp.run copy);
+    incr nested;
+    plan ~routine ~counters
+  in
+  let tiered plan =
+    let config =
+      {
+        Interp.default_config with
+        Interp.instrumentation;
+        tier = Some (Tier.spec ~threshold:2 ~plan ());
+      }
+    in
+    full_digest p (Interp.run ~config p)
+  in
+  let plain = tiered plan in
+  Alcotest.(check string) "nested runs leave the tiered run unchanged" plain
+    (tiered nesting);
+  Alcotest.(check bool) "the planner ran nested programs" true (!nested > 0)
+
 let suite =
   List.map workload_case Spec.all
   @ [
@@ -424,4 +458,5 @@ let suite =
       Alcotest.test_case "pipeline tiered_run + session invalidation" `Quick
         tiered_run_pipeline;
       Alcotest.test_case "tier.* metrics" `Quick tier_metrics;
+      Alcotest.test_case "nested run in a planner" `Quick nested_planner_run;
     ]
