@@ -25,6 +25,16 @@ let hot_threshold = 0.00125 (* Section 8.1: 0.125% of total program flow *)
 let metric = Metric.Branch_flow
 let reconstruct_cap = 20_000 (* per routine, for estimated-profile paths *)
 
+(* Each run collects what its outcome's readers consume and no more:
+   path tracing is the expensive part. Runs that feed only an optimizer
+   (the unroller, the inliner after superblock formation) count edges;
+   instrumented runs, read only for their costs and tables, collect
+   nothing. The original program's profile run and the base run keep
+   [Interp.default_config]: Table 1, the instrumenter and the measured
+   truth read their paths. *)
+let edges_only = { Interp.default_config with trace_paths = false }
+let collect_nothing = { edges_only with collect_edges = false }
+
 (* Which profile-guided transformations the preparation applies on top
    of inline + unroll. Off by default: superblock formation needs a
    decoded path profile to drive it, and layout changes what the bench
@@ -217,7 +227,10 @@ let superblock_phase ~(flags : opt_flags) ~session ~cache ~phases
       (p, stats, loaded.Profile_io.edges, diags)
     else begin
       ignore (Session.sync session p');
-      let o = timed phases "sb-profile" (fun () -> Interp.run ?cache p') in
+      let o =
+        timed phases "sb-profile" (fun () ->
+            Interp.run ?cache ~config:edges_only p')
+      in
       (p', stats, Option.get o.Interp.edge_profile, diags @ fuel_diags "sb-profile" o)
     end
   end
@@ -237,7 +250,10 @@ let prepare ?session ?(flags = default_flags) ~name p =
         Ppp_opt.Inline.run p ~block_freq:(block_freq_fn session p ep0))
   in
   ignore (Session.sync session inlined);
-  let o1 = timed phases "re-profile" (fun () -> Interp.run ?cache inlined) in
+  let o1 =
+    timed phases "re-profile" (fun () ->
+        Interp.run ?cache ~config:edges_only inlined)
+  in
   let ep1 = Option.get o1.Interp.edge_profile in
   let optimized, unroll_stats =
     timed phases "unroll" (fun () ->
@@ -289,7 +305,10 @@ let prepare_with_profile ?session ?(flags = default_flags) ~name
           ~block_freq:(block_freq_fn session sb_p ep0))
   in
   ignore (Session.sync session inlined);
-  let o1 = timed phases "re-profile" (fun () -> Interp.run ?cache inlined) in
+  let o1 =
+    timed phases "re-profile" (fun () ->
+        Interp.run ?cache ~config:edges_only inlined)
+  in
   let ep1 = Option.get o1.Interp.edge_profile in
   let optimized, unroll_stats =
     timed phases "unroll" (fun () ->
@@ -533,7 +552,7 @@ let evaluate ?(overflow_policy = Instr_rt.Table.Drop) ?sampling prepared
           ?cache:(Session.lower_cache prepared.session)
           ~config:
             {
-              Interp.default_config with
+              collect_nothing with
               instrumentation = Some inst.Instrument.rt;
               overflow_policy;
               sampling;
@@ -875,7 +894,7 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
         ?cache:(Session.lower_cache session)
         ~config:
           {
-            Interp.default_config with
+            collect_nothing with
             instrumentation = Some inst.Instrument.rt;
             layout = prep.layout;
             sampling;

@@ -6,6 +6,18 @@
     All profiles use "self" advice (Section 7.2): the edge profile given
     to the instrumenter comes from the same input the overhead run uses.
 
+    Each interpreter run collects only what its outcome's readers
+    consume, since tracing ground-truth paths costs more than counting
+    edges. The original program's profile run (["edge-profile"]) and
+    the base run of the optimized program (["base-run"]) count edges and
+    trace paths: Table 1, the instrumenters and the measured truth read
+    both. The re-profiles that only feed an optimizer (["re-profile"]
+    before unrolling, ["sb-profile"] after superblock formation) count
+    edges only. The instrumented runs of {!evaluate} (["overhead-run"])
+    and {!reoptimize} are read only for their costs and frequency
+    tables, so they collect neither, and their outcomes carry no
+    profiles; {!tiered_run} keeps the default collection.
+
     Every pipeline run works against a {!Ppp_session.Session}: a
     content-addressed store of per-routine analyses (CFG views,
     dominators, loop nests, flow contexts, definite-flow DPs, structural
@@ -42,7 +54,13 @@ type prepared = {
   original : Ppp_ir.Ir.program;
   optimized : Ppp_ir.Ir.program;
   orig_outcome : Ppp_interp.Interp.outcome;
-  base_outcome : Ppp_interp.Interp.outcome;  (** run of [optimized] *)
+      (** the profile run before inlining. After {!prepare} and
+          {!prepare_unoptimized} it is the run of [original], with edges
+          and paths. After {!prepare_with_profile} it is the re-profile
+          of the inlined program and carries edges only, so its
+          [path_profile] is [None]. *)
+  base_outcome : Ppp_interp.Interp.outcome;
+      (** run of [optimized], with edges and paths *)
   inline_stats : Ppp_opt.Inline.stats;
   unroll_stats : Ppp_opt.Unroll.stats;
   superblock_stats : Ppp_opt.Superblock.stats;
@@ -136,6 +154,8 @@ val path_stats_of_outcome :
   Ppp_ir.Ir.program ->
   Ppp_interp.Interp.outcome ->
   path_stats
+(** The outcome must have traced paths (see [orig_outcome]).
+    @raise Invalid_argument if its [path_profile] is [None]. *)
 
 type hot_stats = {
   distinct_paths : int;

@@ -4,7 +4,8 @@
    path profiles, frequency-table state, and the interp.*/rt.* metrics —
    across all 18 workloads x {none, PP, TPP, PPP} x {full, starved fuel},
    plus QCheck-generated random programs and a fine-grained fuel sweep
-   that walks the exhaustion point through batched segments. *)
+   that walks the exhaustion point through batched segments. One case
+   diffs the VM against itself instead: collection flags off vs on. *)
 
 module Graph = Ppp_cfg.Graph
 module Ir = Ppp_ir.Ir
@@ -19,6 +20,7 @@ module Gen = Ppp_workloads.Gen
 module Config = Ppp_core.Config
 module Instrument = Ppp_core.Instrument
 module Obs = Ppp_obs.Metrics
+module Sampling = Ppp_interp.Sampling
 
 (* Render everything observable about an outcome into one canonical
    string; two engines agree iff their digests are equal, and Alcotest
@@ -189,6 +191,53 @@ let bare_config () =
             (Printf.sprintf "%s/%s/bare" bench.Spec.bench_name mname)
             config p)
         (methods p))
+    Spec.all
+
+(* Collection is a pure observer, which lets the pipeline's
+   instrumented runs collect nothing and its re-profiles count edges
+   only: on every workload under PP, PPP and PPP sampled at 1/4, a run
+   with both collection flags off must match one with both on in result,
+   output, costs, termination and frequency tables, and a run that only
+   counts edges must also have the default run's edge profile. *)
+let collection_flags () =
+  let sampled = Some (Sampling.spec ~denom:4 ~seed:17 ()) in
+  let without_paths (o : Interp.outcome) =
+    { o with Interp.dyn_paths = 0; path_profile = None }
+  in
+  List.iter
+    (fun (bench : Spec.bench) ->
+      let p = bench.Spec.build ~scale:1 in
+      let ep = prior_edges p in
+      let rt c = Some (Instrument.instrument p ep c).Instrument.rt in
+      List.iter
+        (fun (mname, instrumentation, sampling) ->
+          let run collect_edges trace_paths =
+            Interp.run
+              ~config:
+                {
+                  Interp.default_config with
+                  Interp.collect_edges;
+                  trace_paths;
+                  instrumentation;
+                  sampling;
+                }
+              p
+          in
+          let full = run true true in
+          let label what =
+            Printf.sprintf "%s/%s: %s" bench.Spec.bench_name mname what
+          in
+          Alcotest.(check string) (label "nothing collected")
+            (digest p { (without_paths full) with Interp.edge_profile = None })
+            (digest p (run false false));
+          Alcotest.(check string) (label "edges only")
+            (digest p (without_paths full))
+            (digest p (run true false)))
+        [
+          ("pp", rt Config.pp, None);
+          ("ppp", rt Config.ppp, None);
+          ("ppp@1/4", rt Config.ppp, sampled);
+        ])
     Spec.all
 
 (* [Lower] alone decides which terminators do edge work (the [_prof]
@@ -416,6 +465,7 @@ let suite =
       Alcotest.test_case "fuel sweep" `Quick fuel_sweep;
       Alcotest.test_case "overflow policy" `Quick overflow_policy;
       Alcotest.test_case "bare config" `Quick bare_config;
+      Alcotest.test_case "collection flags" `Quick collection_flags;
       Alcotest.test_case "lowering decides edge work" `Quick lowered_edge_work;
       Alcotest.test_case "metrics" `Quick metrics_diff;
       QCheck_alcotest.to_alcotest qcheck_diff;

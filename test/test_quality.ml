@@ -24,6 +24,8 @@ module Faults = Ppp_resilience.Faults
 module Raw = Ppp_profile.Profile_io.Raw
 module Gen = Ppp_workloads.Gen
 module Metric = Ppp_profile.Metric
+module Edge_profile = Ppp_profile.Edge_profile
+module Ir = Ppp_ir.Ir
 
 let metric = Metric.Branch_flow
 
@@ -492,6 +494,26 @@ let outcome_digest p (o : Interp.outcome) =
        (Raw.of_program ?edges:o.Interp.edge_profile ?paths:o.Interp.path_profile
           p))
 
+(* How many instructions a run's telemetry countdown saw, when that is
+   known. The VM counts [tele_left] down only on completed [Fuel]
+   segments, which charge every instruction but calls (those charge
+   themselves), so in a finished run it saw [dyn_instrs] less one per
+   call: every routine return but main's. A truncated run's last segment
+   is billed without the countdown, so it has no such figure. *)
+let countdown_instrs p (o : Interp.outcome) =
+  match (o.Interp.termination, o.Interp.edge_profile) with
+  | Interp.Finished, Some ep ->
+      let returns =
+        List.fold_left
+          (fun acc (r : Ir.routine) ->
+            acc + Edge_profile.entry_count ep p r.Ir.name)
+          0 p.Ir.routines
+      in
+      Some (o.Interp.dyn_instrs - (returns - 1))
+  | _ -> None
+
+let tele_interval = 7
+
 let prop_telemetry_transparent =
   QCheck.Test.make
     ~name:"outcomes are byte-identical with and without a telemetry ring"
@@ -505,12 +527,34 @@ let prop_telemetry_transparent =
         | Some fuel -> { Interp.default_config with fuel }
       in
       let plain = Interp.run ~config p in
-      let ring = Telemetry.create ~capacity:16 ~interval:7 () in
+      let ring = Telemetry.create ~capacity:16 ~interval:tele_interval () in
       let sampled =
         Interp.run ~config:{ config with telemetry = Some ring } p
       in
-      Telemetry.taken ring > 0
-      && outcome_digest p plain = outcome_digest p sampled)
+      (* Some generated programs finish before the countdown reaches
+         the interval; the ring must sample exactly when it does. *)
+      outcome_digest p plain = outcome_digest p sampled
+      &&
+      match countdown_instrs p plain with
+      | Some n -> (Telemetry.taken ring > 0) = (n >= tele_interval)
+      | None -> true)
+
+(* Seed 81's program finishes inside one interval: the ring stays
+   empty, and the outcome is still byte-identical. *)
+let test_telemetry_short_run () =
+  let p = Gen.program ~seed:81 in
+  let plain = Interp.run p in
+  let ring = Telemetry.create ~capacity:16 ~interval:tele_interval () in
+  let sampled =
+    Interp.run ~config:{ Interp.default_config with telemetry = Some ring } p
+  in
+  Alcotest.(check bool) "the run ends before the interval" true
+    (match countdown_instrs p plain with
+    | Some n -> n < tele_interval
+    | None -> false);
+  Alcotest.(check int) "no samples" 0 (Telemetry.taken ring);
+  Alcotest.(check string) "identical digest" (outcome_digest p plain)
+    (outcome_digest p sampled)
 
 let test_telemetry_ring () =
   let p = Gen.program ~seed:0 in
@@ -786,6 +830,8 @@ let suite =
       Alcotest.test_case "gate enforces tiered and drift floors" `Quick
         test_gate_tiered_drift_floors;
       Alcotest.test_case "telemetry ring" `Quick test_telemetry_ring;
+      Alcotest.test_case "telemetry on a short run" `Quick
+        test_telemetry_short_run;
       Alcotest.test_case "telemetry metrics counters" `Quick
         test_telemetry_metrics;
       Alcotest.test_case "trace counters, metadata, escaping" `Quick
