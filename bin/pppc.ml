@@ -209,8 +209,9 @@ let telemetry_out_arg =
 let tier_up_arg =
   let doc =
     "Tiered in-VM re-optimization: the run starts with every routine in \
-     its PPP-instrumented variant; routines whose frame-entry trip count \
-     crosses the threshold are re-lowered hot-path-first (from their own \
+     its PPP-instrumented variant; instrumented routines whose trip \
+     count (frame entries plus path-ending back edges) crosses the \
+     threshold are re-lowered hot-path-first (from their own \
      live counters) with instrumentation stripped, and swapped in at the \
      next call boundary or loop back-edge OSR point — one run, no second \
      pass. The program outcome is byte-identical to an untiered run."
@@ -218,7 +219,10 @@ let tier_up_arg =
   Arg.(value & flag & info [ "tier-up" ] ~doc)
 
 let tier_threshold_arg =
-  let doc = "Frame-entry trip count at which a routine tiers up." in
+  let doc =
+    "Trip count (frame entries plus path-ending back edges) at which an \
+     instrumented routine tiers up."
+  in
   Arg.(
     value
     & opt int Ppp_interp.Tier.default_threshold

@@ -246,14 +246,15 @@ val tiered_run :
   tiered
 (** Instrument [prepared.optimized] under [config] (through the session,
     like {!evaluate}), then execute ONE run with the tier controller
-    armed: routines start instrumented, and those whose frame-entry trip
-    count crosses [threshold] (default
+    armed: routines start instrumented, and those whose trip count
+    (frame entries plus path-ending back edges) crosses [threshold]
+    (default
     {!Ppp_interp.Tier.default_threshold}) re-lower hot-path-first with
     instrumentation stripped, up to [budget] swaps (default unlimited).
     Program outcome is byte-identical to the untiered instrumented run;
     [instr_cost] drops as routines retire their instrumentation.
-    [sampling] composes: burst re-decisions keep their chronology, tier
-    swaps win the variant resolution once fired. *)
+    [sampling] composes: tier swaps win the variant resolution once
+    fired, and a routine that has tiered up takes no more burst ticks. *)
 
 (** {2 Iterative re-optimization} *)
 

@@ -1,9 +1,12 @@
 (** Process-parallel collection: a fork-based worker pool and the
     sharded profile collector built on it.
 
-    OCaml 4.14 has no multicore runtime, so parallelism comes from
-    [Unix.fork]: [jobs] workers each take every [jobs]-th item and
-    stream back [Marshal]-ed results over a pipe. Determinism is the
+    Parallelism comes from [Unix.fork] rather than OCaml 5 domains, for
+    containment: each worker has its own address space, so a crash, a
+    signal or an [exit] in one cannot take the run down, and
+    process-global state (the VM's own lowering cache, the metrics
+    registry) needs no locking. [jobs] workers each take every [jobs]-th
+    item and stream back [Marshal]-ed results over a pipe. Determinism is the
     whole point — results come back indexed, every item's PRNG seed is
     derived from the pool seed and the item's {e index} (never from the
     worker count or wall clock), and a worker that dies surfaces as a

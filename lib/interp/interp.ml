@@ -57,10 +57,10 @@ type plan = {
   p_index : int; (* position in the program's routine list — the same
                     index the VM's plan array (and the tier controller)
                     uses for this routine *)
-  p_instrumented : bool; (* the routine has instrumentation actions, so
-                            the VM gives it a distinct instrumented
-                            variant; tells the mirror whether an
-                            order-less tier-up still changes streams *)
+  p_resolving : bool; (* the routine is instrumented and the run samples
+                         or tiers: its stream can change until it tiers
+                         up (the VM's [v_resolves] on its instrumented
+                         variant) *)
   is_back : bool array; (* edge -> ends the current path *)
   edge_counts : Edge_profile.t option;
   trace : Path_profile.t option;
@@ -69,15 +69,18 @@ type plan = {
   table : Instr_rt.Table.t option;
 }
 
+(* The stream a frame executes, mirroring the VM's [f_var]: the
+   instrumented variant (on-burst, actions live), its plain twin
+   (off-burst), or the routine's post-swap stream (entered after the
+   swap, or crossed onto it at a back-edge OSR point). *)
+type stream = On | Off | Tiered
+
 type frame = {
   plan : plan;
   regs : int array;
   mutable block : int;
   mutable ip : int;
-  mutable f_on : bool; (* bursty sampling: instrumentation actions live *)
-  mutable f_tiered : bool; (* this frame runs the routine's post-swap
-                              stream (entered after the swap, or crossed
-                              onto it at a back-edge OSR point) *)
+  mutable stream : stream;
   mutable path_reg : int;
   mutable path_rev : int list;
   ret_to : Ir.reg option; (* caller register receiving our return value *)
@@ -97,11 +100,6 @@ type state = {
   obs_on : bool; (* metrics flag, latched at run start *)
   sampler : Sampling.t option; (* bursty collection sampling, None = off *)
   tier : Tier.t option; (* tier controller, mirrored 1:1 with the VM *)
-  swapped : bool array; (* routine -> its tier-up changed the executing
-                           stream (the VM's [cur <> v_instr] test) *)
-  reordered : bool array; (* routine -> its tier-up installed a genuine
-                             re-layout (validated exactly as
-                             [Lower.tier_up] does) *)
   mutable obs_calls : int;
   obs_actions : int array; (* executions per Instr_rt.action kind *)
 }
@@ -138,7 +136,9 @@ let make_plan (config : config) instr_tables ~index (r : Ir.routine) =
             in
             (acts, costs, tbl))
   in
-  let p_instrumented =
+  let p_resolving =
+    (config.sampling <> None || config.tier <> None)
+    &&
     match config.instrumentation with
     | None -> false
     | Some instr -> Hashtbl.mem instr r.name
@@ -147,7 +147,7 @@ let make_plan (config : config) instr_tables ~index (r : Ir.routine) =
     routine = r;
     view;
     p_index = index;
-    p_instrumented;
+    p_resolving;
     is_back;
     edge_counts;
     trace;
@@ -177,7 +177,7 @@ let traverse st frame e ~ends_path =
   (* Off-burst, the frame behaves as if uninstrumented: no actions, no
      instr cost. Mirrors the VM executing the plain opcode stream, whose
      edge_ops carry empty action lists. *)
-  let acts = if frame.f_on then plan.actions.(e) else [||] in
+  let acts = if frame.stream = On then plan.actions.(e) else [||] in
   if Array.length acts > 0 then begin
     let costs = plan.action_costs.(e) in
     for i = 0 to Array.length acts - 1 do
@@ -251,38 +251,34 @@ let run_reference ~(config : config) (p : Ir.program) =
       obs_on = Engine.Obs.enabled ();
       sampler;
       tier;
-      swapped = Array.make (max 1 nroutines) false;
-      reordered = Array.make (max 1 nroutines) false;
       obs_calls = 0;
       obs_actions = Array.make Instr_rt.num_action_kinds 0;
     }
   in
-  (* The mirror of [Vm.tier_fire]: gather the routine's live path
-     counters, let the controller decide, and record what the swap
-     changed — with the planner's order validated exactly as
-     [Lower.tier_up] validates it, so the mirror's notion of "the
-     executing stream changed" is the VM's [cur <> v_instr] test. *)
-  let ref_fire (plan : plan) tc =
-    let counters =
-      match plan.table with
-      | None -> []
-      | Some t ->
-          let acc = ref [] in
-          Instr_rt.Table.iter_nonzero t (fun k c -> acc := (k, c) :: !acc);
-          List.rev !acc
-    in
-    let order =
-      Tier.fire tc ~idx:plan.p_index ~name:plan.routine.Ir.name ~counters
-    in
-    let reordered =
-      match order with
-      | Some o ->
-          Lower.valid_order ~nblocks:(Array.length plan.routine.Ir.blocks) o
-          && not (Lower.is_identity_order o)
-      | None -> false
-    in
-    st.reordered.(plan.p_index) <- reordered;
-    st.swapped.(plan.p_index) <- reordered || plan.p_instrumented
+  let tiered (plan : plan) =
+    match st.tier with Some tc -> Tier.is_tiered tc plan.p_index | None -> false
+  in
+  (* The mirror of [Vm.step], for a resolving routine that has not tiered
+     up: the trip — on a fire, the controller decides from the routine's
+     live path counters, as in [Vm.tier_fire]; only resolving routines
+     trip and their tier-up always changes the executing stream (the
+     VM's [cur <> v_instr]), so [tiered] is the whole mirror of the
+     swap — then the tick, whether or not the trip fired. *)
+  let step (plan : plan) =
+    (match st.tier with
+    | Some tc when Tier.trip tc plan.p_index ->
+        let counters =
+          match plan.table with
+          | None -> []
+          | Some t ->
+              let acc = ref [] in
+              Instr_rt.Table.iter_nonzero t (fun k c -> acc := (k, c) :: !acc);
+              List.rev !acc
+        in
+        ignore
+          (Tier.fire tc ~idx:plan.p_index ~name:plan.routine.Ir.name ~counters)
+    | _ -> ());
+    match st.sampler with None -> true | Some s -> Sampling.tick s
   in
   let new_frame name ret_to =
     let plan =
@@ -291,37 +287,31 @@ let run_reference ~(config : config) (p : Ir.program) =
       | None -> error "unknown routine %s" name
     in
     (* The frame-entry variant-resolution point, in the VM's canonical
-       order: (1) tier trip — the fire may swap this very routine right
-       now; (2) the sampling tick, ALWAYS taken when a sampler exists,
-       so burst chronology is independent of tier decisions; (3) the
-       resolution — a tiered routine's frames run its post-swap stream
-       with instrumentation off, otherwise the burst decision picks
-       between the instrumented and plain streams. *)
+       order: (1) [step], only while the routine's stream can still
+       change; (2) the resolution — a tiered routine's frames run its
+       post-swap stream with instrumentation off, otherwise the burst
+       decision picks between the instrumented and plain streams. *)
+    let on = if plan.p_resolving && not (tiered plan) then step plan else true in
+    let swapped = tiered plan in
     (match st.tier with
-    | Some tc -> if Tier.trip tc plan.p_index then ref_fire plan tc
-    | None -> ());
-    let on =
-      match st.sampler with None -> true | Some s -> Sampling.tick s
-    in
-    let tiered = st.swapped.(plan.p_index) in
-    (match st.tier with
-    | Some tc -> if tiered then Tier.note_entry_swap tc
+    | Some tc -> if swapped then Tier.note_entry_swap tc
     | None -> ());
     {
       plan;
       regs = Array.make plan.routine.Ir.nregs 0;
       block = 0;
       ip = 0;
-      f_on = on && not tiered;
-      f_tiered = tiered;
+      stream = (if swapped then Tiered else if on then On else Off);
       path_reg = 0;
       path_rev = [];
       ret_to;
     }
   in
   (* The back-edge variant-resolution point, mirroring [Vm.redecide]
-     move for move: tier trip first (the fire may swap this routine),
-     then the unconditional sampling tick, then the resolution. A swap
+     move for move. The caller reaches it only where the VM executes a
+     resolving terminator: a path-ending back edge of a resolving
+     routine, in a frame not yet on the post-swap stream. [step] first
+     while the routine has not tiered up, then the resolution. A swap
      wins over the burst decision: the first back edge a pre-swap frame
      takes after its routine tiers up crosses it onto the post-swap
      stream (OSR) and turns instrumentation off for good. The traversed
@@ -333,30 +323,15 @@ let run_reference ~(config : config) (p : Ir.program) =
      recorded. *)
   let redecide frame e =
     let plan = frame.plan in
-    (match st.tier with
-    | Some tc -> if Tier.trip tc plan.p_index then ref_fire plan tc
-    | None -> ());
-    let on =
-      match st.sampler with None -> frame.f_on | Some s -> Sampling.tick s
-    in
-    if st.swapped.(plan.p_index) then begin
-      if not frame.f_tiered then begin
-        (* The VM notes an OSR swap only when the frame's stream
-           actually changes: an off-burst frame already on the plain
-           stream is bitwise where an order-less tier-up lands it. *)
-        (match st.tier with
-        | Some tc ->
-            if frame.f_on || st.reordered.(plan.p_index) then
-              Tier.note_osr_swap tc
-        | None -> ());
-        frame.f_tiered <- true;
-        frame.f_on <- false
-      end
+    let on = if tiered plan then true else step plan in
+    if tiered plan then begin
+      (match st.tier with Some tc -> Tier.note_osr_swap tc | None -> ());
+      frame.stream <- Tiered
     end
-    else if on <> frame.f_on then
-      if not on then frame.f_on <- false
+    else if on <> (frame.stream = On) then
+      if not on then frame.stream <- Off
       else begin
-        frame.f_on <- true;
+        frame.stream <- On;
         let acts = plan.actions.(e) in
         let n = Array.length acts in
         let rec after_last_count i acc =
@@ -376,6 +351,11 @@ let run_reference ~(config : config) (p : Ir.program) =
           | _ -> ()
         done
       end
+  in
+  (* Whether taking edge [e] passes the resolution point: the VM's [_res]
+     terminators sit on the path-ending edges of resolving variants. *)
+  let resolves frame e =
+    frame.plan.is_back.(e) && frame.plan.p_resolving && frame.stream <> Tiered
   in
   let return_value = ref None in
   let main_frame = new_frame p.main None in
@@ -428,14 +408,14 @@ let run_reference ~(config : config) (p : Ir.program) =
       | Ir.Jump l ->
           let e = Cfg_view.jump_edge view frame.block in
           traverse st frame e ~ends_path:frame.plan.is_back.(e);
-          if frame.plan.is_back.(e) then redecide frame e;
+          if resolves frame e then redecide frame e;
           frame.block <- l;
           frame.ip <- 0
       | Ir.Branch (c, l1, l2) ->
           let taken = eval frame.regs c <> 0 in
           let e = Cfg_view.branch_edge view frame.block ~taken in
           traverse st frame e ~ends_path:frame.plan.is_back.(e);
-          if frame.plan.is_back.(e) then redecide frame e;
+          if resolves frame e then redecide frame e;
           frame.block <- (if taken then l1 else l2);
           frame.ip <- 0
       | Ir.Return v ->

@@ -155,10 +155,13 @@ let proxy_of_plan (plan : Lower.plan) ~freq =
   Array.iteri
     (fun at op ->
       match op with
-      | Lower.Jump { target; edge } | Lower.Jump_prof { target; edge } ->
+      | Lower.Jump { target; edge }
+      | Lower.Jump_prof { target; edge }
+      | Lower.Jump_res { target; edge } ->
           charge ~at ~target (freq edge.Lower.edge)
       | Lower.Branch_r { then_; then_edge; else_; else_edge; _ }
-      | Lower.Branch_r_prof { then_; then_edge; else_; else_edge; _ } ->
+      | Lower.Branch_r_prof { then_; then_edge; else_; else_edge; _ }
+      | Lower.Branch_r_res { then_; then_edge; else_; else_edge; _ } ->
           charge ~at ~target:then_ (freq then_edge.Lower.edge);
           charge ~at ~target:else_ (freq else_edge.Lower.edge)
       | _ -> ())

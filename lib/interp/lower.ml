@@ -19,6 +19,12 @@
      counts edges or traces paths, or when one of its edges carries
      instrumentation actions, so uninstrumented routines, off-burst
      frames and tiered-up code pay nothing per edge;
+   - so is where a frame may change streams: a path-ending [Jump] or
+     [Branch_r] takes a resolving [_res] form (edge work, then the VM's
+     sampling/tier re-decision) only in a variant whose stream can still
+     change — an instrumented routine's [Instrumented] variant when the
+     run samples or tiers, and its [Plain] twin when it samples. Every
+     other terminator reads no sampling or tier state;
    - register indices are validated here, so the VM may use unchecked
      register accesses; an out-of-range index lowers to a [Trap] that
      faults only if executed, like the reference engine's lazy error.
@@ -129,13 +135,23 @@ type op =
   | Return_r_prof of { src : int; edge : edge_ops }
   | Return_i_prof of { imm : int; edge : edge_ops }
   | Return_none_prof of { edge : edge_ops }
+  (* The resolving forms: edge work (a no-op when the edge has none),
+     then the VM's re-decision on every taken edge that ends a path. *)
+  | Jump_res of { target : int; edge : edge_ops }
+  | Branch_r_res of {
+      cond : int;
+      then_ : int;
+      then_edge : edge_ops;
+      else_ : int;
+      else_edge : edge_ops;
+    }
 
 (* A routine may carry several lowered bodies at once — the variant
    table. [Instrumented] and [Plain] are the specialize_code pair:
    identical length, offsets and costs (only terminators differ, in
-   their actions and in whether they do edge work), so bursty sampling
-   swaps a frame between them mid-run with every pc still valid.
-   [Optimized] generations are full re-lowerings under a
+   their actions and in whether they do edge work or resolve), so bursty
+   sampling swaps a frame between them mid-run with every pc still
+   valid. [Optimized] generations are full re-lowerings under a
    hot-path-first block order with instrumentation stripped: same block
    set, same per-block opcode runs (segments never span blocks), only
    placement differs, so a frame crosses onto one at any block boundary
@@ -149,6 +165,9 @@ type variant = {
       (* per-op charge, parallel to [v_code] (0 for Fuel); the exact
          remainder bill when fuel runs out mid-segment *)
   v_offsets : int array; (* block index -> offset of its first op *)
+  v_resolves : bool;
+      (* its stream can still change: frame entry trips and ticks, and
+         its path-ending Jump/Branch_r take the [_res] forms *)
 }
 
 type plan = {
@@ -456,7 +475,8 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
     routine = r;
     view;
     variants =
-      [| { v_kind = Plain; v_code = code; v_costs = costs; v_offsets = block_offset } |];
+      [| { v_kind = Plain; v_code = code; v_costs = costs;
+           v_offsets = block_offset; v_resolves = false } |];
     v_instr = 0;
     v_plain = 0;
     cur = 0;
@@ -475,20 +495,26 @@ let structural_variant (p : plan) = p.variants.(p.v_plain)
    attaches each edge's instrumentation actions, and a terminator takes
    its [_prof] form when any of its edges does work — every edge when
    the run counts edges or traces paths ([counting]), otherwise the
-   edges with actions. Everything else — including the Fuel
-   segmentation and the per-op cost table — is instrumentation-
-   independent (action costs are charged by [Vm.traverse] from
-   [acts_cost]), so the arrays are shared. *)
-let specialize_code ~counting ~spec code =
+   edges with actions. With [resolving], a Jump or Branch_r with a
+   path-ending edge takes its [_res] form instead. Everything else —
+   including the Fuel segmentation and the per-op cost table — is
+   instrumentation-independent (action costs are charged by
+   [Vm.traverse] from [acts_cost]), so the arrays are shared. *)
+let specialize_code ~counting ~resolving ~spec code =
   let work (eo : edge_ops) = counting || Array.length eo.acts > 0 in
+  let res (eo : edge_ops) = resolving && eo.ends_path in
   Array.map
     (function
       | Jump { target; edge } ->
           let edge = spec edge in
-          if work edge then Jump_prof { target; edge } else Jump { target; edge }
+          if res edge then Jump_res { target; edge }
+          else if work edge then Jump_prof { target; edge }
+          else Jump { target; edge }
       | Branch_r { cond; then_; then_edge; else_; else_edge } ->
           let then_edge = spec then_edge and else_edge = spec else_edge in
-          if work then_edge || work else_edge then
+          if res then_edge || res else_edge then
+            Branch_r_res { cond; then_; then_edge; else_; else_edge }
+          else if work then_edge || work else_edge then
             Branch_r_prof { cond; then_; then_edge; else_; else_edge }
           else Branch_r { cond; then_; then_edge; else_; else_edge }
       | Return_r { src; edge } ->
@@ -520,10 +546,16 @@ let attach_actions ~ri ~table (eo : edge_ops) =
    an [Instrumented] stream's do. *)
 let counts (plan : plan) = plan.edge_counts <> None || plan.intern <> None
 
-(* [plan]'s uninstrumented stream built from structural variant [v]. *)
-let plain_variant plan v =
-  if counts plan then
-    { v with v_code = specialize_code ~counting:true ~spec:Fun.id v.v_code }
+(* [plan]'s uninstrumented stream built from structural variant [v],
+   resolving when it is a sampled routine's off-burst twin. *)
+let plain_variant ?(resolving = false) plan v =
+  if counts plan || resolving then
+    {
+      v with
+      v_code =
+        specialize_code ~counting:(counts plan) ~resolving ~spec:Fun.id v.v_code;
+      v_resolves = resolving;
+    }
   else v
 
 (* ------------------------------------------------------------------ *)
@@ -613,6 +645,11 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
             Some o
         | _ -> None)
   in
+  (* Only an instrumented routine's stream can change mid-run, and only
+     when the run samples (instrumented <-> plain at every burst
+     boundary) or tiers (instrumented -> optimized, once). *)
+  let sampled = config.Engine.sampling <> None in
+  let tiered = config.Engine.tier <> None in
   let lower ?order r =
     Obs.incr m_lower_miss;
     lower_structural ?analysis ?order ~arrays ~routine_index:index r
@@ -651,28 +688,29 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
              }
            in
            let sv = structural_variant splan in
-           let plain = plain_variant plan sv in
            (* The run's variant table is always a fresh array (and the
               plan a fresh record): [tier_up] swaps [cur] and appends
               variants mid-run, and neither may leak into the cached
               structural plan shared with the next run. *)
            let variants, v_instr, v_plain =
              match config.Engine.instrumentation with
-             | None -> ([| plain |], 0, 0)
+             | None -> ([| plain_variant plan sv |], 0, 0)
              | Some instr -> (
                  match Hashtbl.find_opt instr r.Ir.name with
-                 | None -> ([| plain |], 0, 0)
+                 | None -> ([| plain_variant plan sv |], 0, 0)
                  | Some ri ->
                      let table = Hashtbl.find_opt instr_tables r.Ir.name in
                      Obs.incr m_lower_specialize;
+                     let resolving = sampled || tiered in
                      let icode =
-                       specialize_code ~counting:(counts plan)
+                       specialize_code ~counting:(counts plan) ~resolving
                          ~spec:(attach_actions ~ri ~table)
                          sv.v_code
                      in
                      ( [|
-                         { sv with v_kind = Instrumented; v_code = icode };
-                         plain;
+                         { sv with v_kind = Instrumented; v_code = icode;
+                           v_resolves = resolving };
+                         plain_variant ~resolving:sampled plan sv;
                        |],
                        0,
                        1 ))
@@ -692,11 +730,13 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
    optimized generation. With a genuine block order this re-lowers the
    routine structurally (against the program's live array refs — only
    opcode placement changes, never contents) and appends the result to
-   the variant table; with no order the plain variant already is the
-   optimized body (instrumentation stripped, current placement kept).
-   Either way only [cur] moves: frames in flight keep their entry-time
-   variant until their next back-edge OSR point, and the swap never
-   touches any other routine's plan. *)
+   the variant table. With no order the plain variant already is the
+   optimized body (instrumentation stripped, current placement kept),
+   unless it resolves (a sampled run's off-burst twin): a tiered routine
+   never changes stream again, so it then gets a source-order
+   re-lowering that does not. Either way only [cur] moves: frames in
+   flight keep their entry-time variant until their next back-edge OSR
+   point, and the swap never touches any other routine's plan. *)
 
 let m_lower_tier = Obs.counter "session.lower.tier_up"
 
@@ -711,16 +751,17 @@ let tier_up ?cache (prog : program) ~idx ~order ~gen =
         Some o
     | _ -> None
   in
-  match order with
-  | None -> plan.cur <- plan.v_plain
-  | Some _ ->
-      Obs.incr m_lower_tier;
-      let analysis = Option.bind cache (fun c -> c.analysis) in
-      let splan =
-        lower_structural ?analysis ?order ~arrays:prog.arrays
-          ~routine_index:prog.index r
-      in
-      let v = plain_variant plan (structural_variant splan) in
-      plan.variants <-
-        Array.append plan.variants [| { v with v_kind = Optimized gen } |];
-      plan.cur <- Array.length plan.variants - 1
+  if order = None && not plan.variants.(plan.v_plain).v_resolves then
+    plan.cur <- plan.v_plain
+  else begin
+    Obs.incr m_lower_tier;
+    let analysis = Option.bind cache (fun c -> c.analysis) in
+    let splan =
+      lower_structural ?analysis ?order ~arrays:prog.arrays
+        ~routine_index:prog.index r
+    in
+    let v = plain_variant plan (structural_variant splan) in
+    plan.variants <-
+      Array.append plan.variants [| { v with v_kind = Optimized gen } |];
+    plan.cur <- Array.length plan.variants - 1
+  end

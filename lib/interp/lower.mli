@@ -9,8 +9,9 @@
     terminators are fused with their edge bookkeeping, and each edge's
     instrumentation is specialized into {!pre_action}s with the frequency
     table already in hand. Lowering also decides which terminators do
-    edge work at all (the [_prof] opcodes), so the VM has no run-wide
-    profiling switch. Register indices are validated here so the VM
+    edge work at all (the [_prof] opcodes) and where a frame may change
+    streams (the [_res] opcodes), so the VM has no run-wide profiling,
+    sampling or tiering switch. Register indices are validated here so the VM
     can use unchecked register accesses; an out-of-range index lowers to
     a lazily-faulting {!op.Trap}, and unknown array/routine names lower
     to opcodes raising the reference engine's exact errors. *)
@@ -94,12 +95,26 @@ type op =
   | Return_r_prof of { src : int; edge : edge_ops }
   | Return_i_prof of { imm : int; edge : edge_ops }
   | Return_none_prof of { edge : edge_ops }
+  | Jump_res of { target : int; edge : edge_ops }
+      (** The resolving forms: edge work (none if the edge has none),
+          then {!Vm}'s sampling/tier re-decision on a taken edge that
+          ends a path. Lowering gives them to the path-ending [Jump] and
+          [Branch_r] terminators of the variants whose stream can still
+          change (those with [v_resolves]) and to no other terminator. *)
+  | Branch_r_res of {
+      cond : int;
+      then_ : int;
+      then_edge : edge_ops;
+      else_ : int;
+      else_edge : edge_ops;
+    }
 
 (** One lowered body of a routine. A plan carries a whole table of
     these: the [Instrumented]/[Plain] pair produced by specialization
     (identical length, offsets and costs — only terminators differ, in
-    their actions and in whether they do edge work, so bursty sampling
-    swaps a frame between them mid-run with every pc still valid), plus any [Optimized] generations minted by
+    their actions and in whether they do edge work or resolve, so bursty
+    sampling swaps a frame between them mid-run with every pc still
+    valid), plus any [Optimized] generations minted by
     {!tier_up} (full re-lowerings under a hot-path-first block order
     with instrumentation stripped; same block set and per-block opcode
     runs, so a frame crosses onto one at any block boundary by mapping
@@ -111,6 +126,12 @@ type variant = {
   v_code : op array;
   v_costs : int array;  (** per-op charge, parallel to [v_code] *)
   v_offsets : int array;  (** block index -> offset of its first op *)
+  v_resolves : bool;
+      (** the stream can still change: set on an instrumented routine's
+          [Instrumented] variant when the run samples or tiers, and on
+          its [Plain] twin when it samples; never on an [Optimized]
+          generation, nor on what an order-less {!tier_up} installs.
+          Frame entry trips and ticks only into such a variant. *)
 }
 
 type plan = {
@@ -205,7 +226,9 @@ val tier_up : ?cache:cache -> program -> idx:int -> order:int array option -> ge
     — against the program's live arrays, so it is safe mid-execution —
     and appends the result to the variant table (its terminators do
     edge work only if the run counts edges or traces paths); otherwise
-    the plain variant already is the optimized body. Only the plan's [cur] slot
+    the plain variant already is the optimized body, unless it resolves
+    (a sampled run's), in which case a source-order re-lowering that
+    does not is appended instead. Only the plan's [cur] slot
     moves: frames in flight keep their entry-time variant until their
     next OSR point, and no other routine is touched. [cache] supplies
     memoized CFG/loop analyses, never code (the order is baked into

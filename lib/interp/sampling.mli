@@ -9,8 +9,13 @@
     gaps in which instrumented routines execute their *uninstrumented*
     opcode stream. With sampling rate [1/denom] and burst length [B], the
     controller is on for [B] ticks out of every [denom * B]; a tick is a
-    unit of path collection — a frame entry or a loop back-edge — so over
-    a long run roughly [1/denom] of all dynamic paths are recorded.
+    unit of path collection — a frame entry or a path-ending loop back
+    edge of an instrumented routine that has not tiered up, the only
+    places whose stream a burst decision can change — so over a long
+    run roughly [1/denom] of the instrumented routines' dynamic paths
+    are recorded. Routines the instrumentation skipped and routines
+    already tiered up take no tick, so tiering shifts the burst
+    schedule of the routines still collecting.
     Recovered counts are scaled back by [denom]
     (see {!Instr_rt.scaled_count}) to estimate the full profile.
 

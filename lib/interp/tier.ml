@@ -1,7 +1,9 @@
 (* The hotness controller behind tiered in-VM re-optimization.
 
    Both engines drive one of these through the same protocol: [trip] at
-   every frame entry and path-ending back edge; when it answers [true]
+   every frame entry and path-ending back edge of an instrumented routine
+   that has not tiered up (the only routines a tier-up can change); when
+   it answers [true]
    the caller gathers the routine's live path counters and calls [fire],
    which spends budget, asks the planner for a hot-path-first block
    order, and logs the decision. The controller never looks at the

@@ -2,8 +2,10 @@
 
     A tiered run starts every instrumented routine in its instrumented
     lowered variant. The controller watches per-routine trips (frame
-    entries plus path-ending loop back edges, recorded in a
-    {!Telemetry.Trips} table); when a routine's trip count reaches the
+    entries plus path-ending loop back edges of instrumented routines
+    that have not tiered up, recorded in a {!Telemetry.Trips} table), so
+    the budget is never spent on a routine the instrumentation skipped;
+    when a routine's trip count reaches the
     threshold it "fires": the engine gathers the routine's live path
     counters, the planner distils them into a hot-path-first block
     order, {!Lower.tier_up} re-lowers just that routine, and the plan's
@@ -20,7 +22,8 @@
     instrumented variant for an optimized generation; {!Sampling}'s
     burst re-decision toggles between the instrumented and plain
     variants of the {e same} generation. Both resolve through the one
-    variant-resolution point in {!Vm}. *)
+    variant-resolution point in {!Vm}, which {!Lower} places only in
+    variants whose stream can still change. *)
 
 type planner = routine:string -> counters:(int * int) list -> int array option
 (** Maps a hot routine's live counters — [(path_number, raw_count)]

@@ -34,10 +34,10 @@ type frame = {
   mutable fcosts : int array; (* = plan.variants.(f_var).v_costs *)
       (* The stream this frame is executing — its entry-time variant
          until a resolution point (frame entry / back-edge OSR) swaps
-         it. Instrumented<->plain swaps are offset-identical; a swap
-         onto an optimized generation retargets the pc through the two
-         offset tables (see [retarget]). *)
-  mutable f_on : bool; (* executing the instrumented variant on-burst *)
+         it; on-burst is [f_var = plan.v_instr]. Instrumented<->plain
+         swaps are offset-identical; a swap onto an optimized generation
+         retargets the pc through the two offset tables (see
+         [retarget]). *)
   mutable regs : int array;
   mutable pc : int; (* saved resume point while a callee runs *)
   mutable path_reg : int;
@@ -64,8 +64,6 @@ type state = {
   count_calls : bool; (* metrics or telemetry want the call total *)
   sampler : Sampling.t option; (* bursty collection sampling, None = off *)
   tier : Tier.t option; (* hotness controller, None = untiered *)
-  redecide_on : bool;
-      (* sampler or tier present: gate the per-back-edge re-decision *)
   tele : Telemetry.t option; (* latched snapshot ring, None = off *)
   mutable tele_left : int; (* instructions until the next sample *)
   mutable obs_calls : int;
@@ -90,7 +88,6 @@ let fresh_frame plan =
     f_var = plan.L.cur;
     fcode = v.L.v_code;
     fcosts = v.L.v_costs;
-    f_on = true;
     regs = Array.make (max 1 plan.L.nregs) 0;
     (* Every frame begins at opcode offset 0: the lowering keeps the
        entry block there under every block layout (Lower.valid_order),
@@ -122,18 +119,28 @@ let tier_fire st (plan : L.plan) tc =
   L.tier_up ?cache:st.lcache st.prog ~idx:plan.L.r_id ~order
     ~gen:(Tier.swaps tc)
 
+(* The watched event of one resolution point in a routine whose stream
+   can still change (instrumented, not tiered up): (1) the tier trip — a
+   routine crossing the threshold right here tiers up at once; (2) the
+   sampling tick, taken whether or not that trip fired. Returns the
+   burst decision. Routines PPP skipped and routines already tiered up
+   never get here, so they neither trip nor tick. *)
+let step st (plan : L.plan) =
+  (match st.tier with
+  | Some tc -> if Tier.trip tc plan.L.r_id then tier_fire st plan tc
+  | None -> ());
+  match st.sampler with None -> true | Some s -> Sampling.tick s
+
 (* Push a zeroed frame for [plan], recycling the slot's arrays. The
    first [nargs] registers are about to be overwritten by the caller's
    argument copy, so only the rest needs zeroing.
 
    This is one of the two variant-resolution points (the other is
    [redecide] at loop back edges), and both engines follow the same
-   canonical order: (1) the tier trip — a routine crossing the
-   threshold right here already enters optimized code; (2) the sampling
-   tick, unconditionally when a sampler is attached — its chronology is
-   independent of tier state, so tiering never loses or shifts bursts;
-   (3) the resolution itself — a tiered routine's current variant wins,
-   otherwise the burst decision picks instrumented vs plain. *)
+   canonical order: [step] only when the routine's current variant
+   resolves, then the resolution itself — a tiered routine's current
+   variant wins, otherwise the burst decision picks instrumented vs
+   plain. *)
 let enter st plan ~nargs ret_to =
   if st.depth = Array.length st.frames then begin
     let bigger = Array.make (2 * st.depth) st.frames.(0) in
@@ -146,11 +153,8 @@ let enter st plan ~nargs ret_to =
   let f = st.frames.(st.depth) in
   st.depth <- st.depth + 1;
   f.plan <- plan;
-  (match st.tier with
-  | Some tc -> if Tier.trip tc plan.L.r_id then tier_fire st plan tc
-  | None -> ());
   let on =
-    match st.sampler with None -> true | Some s -> Sampling.tick s
+    if plan.L.variants.(plan.L.cur).L.v_resolves then step st plan else true
   in
   let v =
     if plan.L.cur <> plan.L.v_instr then begin
@@ -164,7 +168,6 @@ let enter st plan ~nargs ret_to =
   f.f_var <- v;
   f.fcode <- var.L.v_code;
   f.fcosts <- var.L.v_costs;
-  f.f_on <- on && v = plan.L.v_instr;
   let n = plan.L.nregs in
   if Array.length f.regs < n then f.regs <- Array.make n 0
   else if nargs < n then Array.fill f.regs nargs (n - nargs) 0;
@@ -187,10 +190,11 @@ let store d (a : L.arr) i v =
   Array.unsafe_set d i v
 
 (* The edge work of one taken edge: count it, extend the traced path,
-   run its instrumentation actions. Only the [_prof] terminators call
-   this; [Lower] gives that form to a terminator only when the run counts
-   edges or traces paths, or an edge of it carries actions, so plain
-   streams, off-burst frames and tiered-up code never reach it. *)
+   run its instrumentation actions. Only the [_prof] and [_res]
+   terminators call this; [Lower] gives the [_prof] form to a terminator
+   only when the run counts edges or traces paths, or an edge of it
+   carries actions, so plain streams, off-burst frames and tiered-up
+   code reach it only at a resolving back edge, where it does nothing. *)
 let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
   (match plan.L.edge_counts with
   | Some c -> Edge_profile.incr c eo.L.edge
@@ -269,7 +273,7 @@ let exec_pure st regs op =
   | L.Fuel _ | L.Call _ | L.Unknown_routine _ | L.Jump _ | L.Branch_r _
   | L.Return_r _ | L.Return_i _ | L.Return_none _ | L.Jump_prof _
   | L.Branch_r_prof _ | L.Return_r_prof _ | L.Return_i_prof _
-  | L.Return_none_prof _ ->
+  | L.Return_none_prof _ | L.Jump_res _ | L.Branch_r_res _ ->
       assert false
 
 (* Fuel ran out inside this segment: with [f] fuel left, the reference
@@ -291,15 +295,15 @@ let exhaust st (frame : frame) regs pc =
   done;
   raise E.Exhausted
 
-(* The instrumented stream's edge_ops for the terminator at [pc] — the
-   plain stream carries empty action lists, so an off->on transition
-   reads the path-register initialization from here. Only reached from
-   frames in the instrumented/plain pair, whose offsets coincide. *)
+(* The instrumented stream's edge_ops for the resolving terminator at
+   [pc] — the plain stream carries empty action lists, so an off->on
+   transition reads the path-register initialization from here. Only
+   reached from frames in the instrumented/plain pair, whose offsets
+   coincide and whose path-ending terminators both resolve. *)
 let instrumented_edge (plan : L.plan) pc edge_id =
   match plan.L.variants.(plan.L.v_instr).L.v_code.(pc) with
-  | L.Jump { edge; _ } | L.Jump_prof { edge; _ } -> edge
-  | L.Branch_r { then_edge; else_edge; _ }
-  | L.Branch_r_prof { then_edge; else_edge; _ } ->
+  | L.Jump_res { edge; _ } -> edge
+  | L.Branch_r_res { then_edge; else_edge; _ } ->
       if then_edge.L.edge = edge_id then then_edge else else_edge
   | _ -> assert false
 
@@ -348,62 +352,45 @@ let retarget (from_ : L.variant) (to_ : L.variant) target =
   end
 
 (* The back-edge variant-resolution point, shared by tier-up OSR and
-   bursty sampling (the edge's old path is fully recorded by [traverse]
-   already, so no partial path can be lost). Same canonical order as
-   [enter]: tier trip, then the unconditional sampling tick, then the
-   resolution — tier override first, burst decision otherwise. Returns
-   the pc to re-enter [run_frames] with (so the dispatch loop rebinds
-   the code array), or -1 when the frame's stream is unchanged. *)
+   bursty sampling, reached only through a [_res] terminator (the edge's
+   old path is fully recorded by [traverse] already, so no partial path
+   can be lost). Same canonical order as [enter]: [step] while the
+   routine has not tiered up, then the resolution — tier override
+   first, burst decision otherwise. Returns the pc to re-enter
+   [run_frames] with (so the dispatch loop rebinds the code array), or
+   -1 when the frame's stream is unchanged. *)
 let redecide st (frame : frame) (plan : L.plan) pc edge_id target =
-  (match st.tier with
-  | Some tc -> if Tier.trip tc plan.L.r_id then tier_fire st plan tc
-  | None -> ());
-  let on =
-    match st.sampler with None -> frame.f_on | Some s -> Sampling.tick s
-  in
-  if plan.L.cur <> plan.L.v_instr then
-    if frame.f_var = plan.L.cur then -1
-    else begin
-      (* OSR: this frame entered before the routine tiered up; jump
-         onto the optimized variant at the equivalent block. Stale
-         path_reg is harmless — optimized streams never bump. *)
-      let from_ = plan.L.variants.(frame.f_var) in
-      let to_ = plan.L.variants.(plan.L.cur) in
-      frame.f_var <- plan.L.cur;
-      frame.fcode <- to_.L.v_code;
-      frame.fcosts <- to_.L.v_costs;
-      frame.f_on <- false;
-      (match st.tier with Some tc -> Tier.note_osr_swap tc | None -> ());
-      retarget from_ to_ target
-    end
-  else if on = frame.f_on then -1
-  else if on then begin
-    frame.f_on <- true;
-    frame.f_var <- plan.L.v_instr;
-    let v = plan.L.variants.(plan.L.v_instr) in
-    frame.fcode <- v.L.v_code;
-    frame.fcosts <- v.L.v_costs;
-    path_init frame (instrumented_edge plan pc edge_id);
-    target
+  let on = if plan.L.cur = plan.L.v_instr then step st plan else true in
+  if plan.L.cur <> plan.L.v_instr then begin
+    (* OSR: this frame entered before the routine tiered up; jump onto
+       the optimized variant at the equivalent block. The frame is on a
+       resolving variant and a tier-up never installs one, so this
+       always changes its stream. Stale path_reg is harmless —
+       optimized streams never bump. *)
+    let from_ = plan.L.variants.(frame.f_var) in
+    let to_ = plan.L.variants.(plan.L.cur) in
+    frame.f_var <- plan.L.cur;
+    frame.fcode <- to_.L.v_code;
+    frame.fcosts <- to_.L.v_costs;
+    (match st.tier with Some tc -> Tier.note_osr_swap tc | None -> ());
+    retarget from_ to_ target
   end
+  else if on = (frame.f_var = plan.L.v_instr) then -1
   else begin
-    (* Stale path_reg is harmless off-burst: the plain stream never
-       bumps, and the next on-transition re-initializes it. *)
-    frame.f_on <- false;
-    frame.f_var <- plan.L.v_plain;
-    let v = plan.L.variants.(plan.L.v_plain) in
-    frame.fcode <- v.L.v_code;
-    frame.fcosts <- v.L.v_costs;
+    (* On an off->on swap, re-arm the path register; stale path_reg is
+       harmless off-burst: the plain stream never bumps. *)
+    let v = if on then plan.L.v_instr else plan.L.v_plain in
+    frame.f_var <- v;
+    frame.fcode <- plan.L.variants.(v).L.v_code;
+    frame.fcosts <- plan.L.variants.(v).L.v_costs;
+    if on then path_init frame (instrumented_edge plan pc edge_id);
     target
   end
 
-(* An edge's pass through the resolution point: [redecide]'s answer
-   when sampling or tiering is on and the edge ends a path, -1 (stream
-   unchanged) otherwise. *)
+(* A resolving branch arm: [redecide]'s answer when the taken edge ends
+   a path, -1 (stream unchanged) otherwise. *)
 let resolve st frame plan pc (eo : L.edge_ops) target =
-  if st.redecide_on && eo.L.ends_path then
-    redecide st frame plan pc eo.L.edge target
-  else -1
+  if eo.L.ends_path then redecide st frame plan pc eo.L.edge target else -1
 
 let do_return st (frame : frame) value =
   st.depth <- st.depth - 1;
@@ -565,26 +552,29 @@ let rec run_frames st (frame : frame) start_pc =
     | L.Unknown_array { name } -> E.error "unknown array %s" name
     | L.Trap { msg } -> raise (E.Runtime_error msg)
     (* Terminators: the [_prof] forms do their edge work first (Lower
-       chose which terminators have any), then every taken edge passes
-       the resolution point; a changed stream re-enters [run_frames] so
-       the code array is rebound. *)
-    | L.Jump { target; edge } ->
-        let t = resolve st frame plan pc edge target in
-        if t >= 0 then run_frames st frame t else go target
+       chose which terminators have any); only the [_res] forms pass
+       the resolution point, and a changed stream re-enters
+       [run_frames] so the code array is rebound. *)
+    | L.Jump { target; _ } -> go target
     | L.Jump_prof { target; edge } ->
         traverse st frame plan edge;
-        let t = resolve st frame plan pc edge target in
-        if t >= 0 then run_frames st frame t else go target
-    | L.Branch_r { cond; then_; then_edge; else_; else_edge } ->
+        go target
+    | L.Branch_r { cond; then_; else_; _ } ->
+        if Array.unsafe_get regs cond <> 0 then go then_ else go else_
+    | L.Branch_r_prof { cond; then_; then_edge; else_; else_edge } ->
         if Array.unsafe_get regs cond <> 0 then begin
-          let t = resolve st frame plan pc then_edge then_ in
-          if t >= 0 then run_frames st frame t else go then_
+          traverse st frame plan then_edge;
+          go then_
         end
         else begin
-          let t = resolve st frame plan pc else_edge else_ in
-          if t >= 0 then run_frames st frame t else go else_
+          traverse st frame plan else_edge;
+          go else_
         end
-    | L.Branch_r_prof { cond; then_; then_edge; else_; else_edge } ->
+    | L.Jump_res { target; edge } ->
+        traverse st frame plan edge;
+        let t = redecide st frame plan pc edge.L.edge target in
+        if t >= 0 then run_frames st frame t else go target
+    | L.Branch_r_res { cond; then_; then_edge; else_; else_edge } ->
         if Array.unsafe_get regs cond <> 0 then begin
           traverse st frame plan then_edge;
           let t = resolve st frame plan pc then_edge then_ in
@@ -662,7 +652,6 @@ let exec ?cache ~(config : E.config) (p : Ir.program) =
       count_calls = E.Obs.enabled () || Option.is_some config.E.telemetry;
       sampler;
       tier;
-      redecide_on = Option.is_some sampler || Option.is_some tier;
       tele = config.E.telemetry;
       tele_left =
         (match config.E.telemetry with

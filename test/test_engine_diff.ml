@@ -350,6 +350,124 @@ let lowered_edge_work () =
   Alcotest.(check bool) "some routines tier up" true (!tiered > 0);
   Alcotest.(check bool) "instrumented streams skip idle edges" true (!idle > 0)
 
+(* [Lower] alone decides where a frame may change streams (the [_res]
+   forms): exactly on the path-ending Jump/Branch_r terminators of an
+   instrumented routine's [Instrumented] variant when the run samples or
+   tiers, and of its [Plain] twin when it samples; nowhere else — not in
+   a routine PPP skipped, not in a run that does neither, and not in
+   whatever a tier-up installs, with or without a block order. *)
+let lowered_resolution_points () =
+  (* (resolving terminators, terminators whose form disagrees with
+     [expected], terminators with a path-ending Jump/Branch_r edge) *)
+  let census ~expected (v : Lower.variant) =
+    Array.fold_left
+      (fun (r, odd, n) op ->
+        let term res ends =
+          ( (if res then r + 1 else r),
+            (if res <> (expected && ends) then odd + 1 else odd),
+            if ends then n + 1 else n )
+        in
+        match op with
+        | Lower.Jump_res { edge; _ } -> term true edge.Lower.ends_path
+        | Lower.Jump { edge; _ } | Lower.Jump_prof { edge; _ } ->
+            term false edge.Lower.ends_path
+        | Lower.Branch_r_res { then_edge; else_edge; _ } ->
+            term true (then_edge.Lower.ends_path || else_edge.Lower.ends_path)
+        | Lower.Branch_r { then_edge; else_edge; _ }
+        | Lower.Branch_r_prof { then_edge; else_edge; _ } ->
+            term false (then_edge.Lower.ends_path || else_edge.Lower.ends_path)
+        | _ -> (r, odd, n))
+      (0, 0, 0) v.Lower.v_code
+  in
+  let resolving = ref 0 and orderless = ref 0 and ordered = ref 0 in
+  List.iter
+    (fun (bench : Spec.bench) ->
+      let p = bench.Spec.build ~scale:1 in
+      let rt = (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt in
+      List.iter
+        (fun (sampled, tiered) ->
+          let lower () =
+            let config =
+              {
+                Interp.default_config with
+                Interp.collect_edges = false;
+                trace_paths = false;
+                instrumentation = Some rt;
+                sampling =
+                  (if sampled then Some (Sampling.spec ~denom:4 ~seed:1 ())
+                   else None);
+                tier = (if tiered then Some (Ppp_interp.Tier.spec ()) else None);
+              }
+            in
+            Lower.program ~config ~instr_tables:(Instr_rt.init_state rt) p
+          in
+          let label (plan : Lower.plan) what =
+            Printf.sprintf "%s/%s (sampled=%b tiered=%b): %s"
+              bench.Spec.bench_name plan.Lower.routine.Ir.name sampled tiered
+              what
+          in
+          let check_variant plan what ~expected (v : Lower.variant) =
+            let r, odd, _ = census ~expected v in
+            resolving := !resolving + r;
+            Alcotest.(check bool) (label plan (what ^ ": v_resolves")) expected
+              v.Lower.v_resolves;
+            Alcotest.(check int) (label plan (what ^ ": _res iff path-ending"))
+              0 odd
+          in
+          let prog = lower () in
+          Array.iter
+            (fun (plan : Lower.plan) ->
+              let instrumented = Hashtbl.mem rt plan.Lower.routine.Ir.name in
+              Array.iter
+                (fun (v : Lower.variant) ->
+                  let expected =
+                    instrumented
+                    &&
+                    match v.Lower.v_kind with
+                    | Lower.Instrumented -> sampled || tiered
+                    | Lower.Plain -> sampled
+                    | Lower.Optimized _ -> false
+                  in
+                  check_variant plan "lowered variant" ~expected v)
+                plan.Lower.variants)
+            prog.Lower.plans;
+          (* Tier-up lands on a body that never resolves, order or not;
+             under sampling an order-less one cannot reuse the resolving
+             plain twin. Each tier-up gets a fresh lowering. *)
+          Array.iter
+            (fun (plan : Lower.plan) ->
+              if Hashtbl.mem rt plan.Lower.routine.Ir.name then begin
+                let n = Array.length plan.Lower.routine.Ir.blocks in
+                List.iter
+                  (fun order ->
+                    let prog = lower () in
+                    let plan = prog.Lower.plans.(plan.Lower.r_id) in
+                    Lower.tier_up prog ~idx:plan.Lower.r_id ~order ~gen:1;
+                    let v = plan.Lower.variants.(plan.Lower.cur) in
+                    let what =
+                      if order = None then "order-less tier-up"
+                      else "ordered tier-up"
+                    in
+                    if order = None then incr orderless else incr ordered;
+                    check_variant plan what ~expected:false v;
+                    if order = None then
+                      Alcotest.(check bool)
+                        (label plan (what ^ " reuses the plain twin"))
+                        (not sampled)
+                        (plan.Lower.cur = plan.Lower.v_plain))
+                  (None
+                  ::
+                  (if n > 2 then
+                     [ Some (Array.init n (fun i -> if i = 0 then 0 else n - i)) ]
+                   else []))
+              end)
+            prog.Lower.plans)
+        [ (false, false); (true, false); (false, true); (true, true) ])
+    Spec.all;
+  Alcotest.(check bool) "some terminators resolve" true (!resolving > 0);
+  Alcotest.(check bool) "order-less tier-ups covered" true (!orderless > 0);
+  Alcotest.(check bool) "ordered tier-ups covered" true (!ordered > 0)
+
 (* The interp.* and rt.* metrics streams must be engine-invariant. *)
 let metrics_diff () =
   let p = (Spec.find "vpr").Spec.build ~scale:1 in
@@ -467,6 +585,8 @@ let suite =
       Alcotest.test_case "bare config" `Quick bare_config;
       Alcotest.test_case "collection flags" `Quick collection_flags;
       Alcotest.test_case "lowering decides edge work" `Quick lowered_edge_work;
+      Alcotest.test_case "lowering decides resolution points" `Quick
+        lowered_resolution_points;
       Alcotest.test_case "metrics" `Quick metrics_diff;
       QCheck_alcotest.to_alcotest qcheck_diff;
       Alcotest.test_case "cacheless reruns" `Quick cacheless_reruns;

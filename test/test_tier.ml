@@ -7,9 +7,10 @@
    frozen frequency tables. Protocol: the two engines must agree on the
    FULL digest (tables, costs, and the tier decision log) under any
    tier/sampling combination, which pins down the canonical resolution
-   order (trip, tick, tier-override) and the frames-keep-their-variant
-   rule; and the session must be point-invalidated for exactly the
-   swapped routines. *)
+   order (trip, tick, tier-override — trips and ticks only in routines
+   that have not tiered up) and the frames-keep-their-variant rule; and
+   the session must be point-invalidated for exactly the swapped
+   routines. *)
 
 module Graph = Ppp_cfg.Graph
 module Ir = Ppp_ir.Ir
@@ -223,12 +224,13 @@ let fuel_walk () =
       (full_digest p vm)
   done
 
-(* Sampling composes with tiering: the burst schedule keeps its
-   chronology (ticks are consumed at every decision point whether or not
-   the tier already fired), swaps win the resolution, and no frame ever
-   executes a stale variant — all observable as program-outcome
-   transparency plus bitwise cross-engine agreement on the sampled
-   tables. *)
+(* Sampling composes with tiering: ticks are consumed only at the
+   decision points of routines that have not tiered up (a tier-up stops
+   its routine ticking, so it shifts the burst schedule of the routines
+   still collecting — identically in both engines), swaps win the
+   resolution, and no frame ever executes a stale variant — all
+   observable as program-outcome transparency plus bitwise cross-engine
+   agreement on the sampled tables. *)
 let sampling_composition () =
   List.iter
     (fun bench_name ->
@@ -447,6 +449,78 @@ let nested_planner_run () =
     (tiered nesting);
   Alcotest.(check bool) "the planner ran nested programs" true (!nested > 0)
 
+(* Only a routine whose stream can still change trips and ticks: one PPP
+   instrumented and that has not tiered up. So the tier budget goes to
+   instrumented routines, and a program PPP skips entirely makes no tier
+   decision and takes no sampling tick. Checked in both engines. *)
+let skipped_routines_never_resolve () =
+  let pipeline_run name ~sampling ~tier =
+    let prepared =
+      Pipeline.prepare_unoptimized ~name ((Spec.find name).Spec.build ~scale:1)
+    in
+    let inst = (Pipeline.tiered_run prepared Config.ppp).Pipeline.t_instrumented in
+    let config =
+      {
+        Interp.default_config with
+        Interp.instrumentation = Some inst.Instrument.rt;
+        sampling;
+        tier =
+          Option.map
+            (fun (threshold, budget) ->
+              Tier.spec ~threshold ~budget
+                ~plan:(Pipeline.tier_planner prepared inst) ())
+            tier;
+      }
+    in
+    let run engine =
+      Obs.set_enabled true;
+      Obs.reset ();
+      let o = Interp.run ~engine ~config prepared.Pipeline.optimized in
+      let s = Obs.snapshot () in
+      Obs.set_enabled false;
+      let n k = Option.value ~default:0 (Obs.counter_value s k) in
+      (o, n "tier.trips", n "rt.sample.on_ticks" + n "rt.sample.off_ticks")
+    in
+    let vm = run Interp.Vm and r = run Interp.Reference in
+    let digest (o, trips, ticks) =
+      Printf.sprintf "%strips=%d ticks=%d\n"
+        (full_digest prepared.Pipeline.optimized o) trips ticks
+    in
+    Alcotest.(check string) (name ^ ": engines agree") (digest r) (digest vm);
+    (inst, vm)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let _, (untiered, _, _) = pipeline_run "gap" ~sampling:None ~tier:None in
+      let inst, (gap, _, _) =
+        pipeline_run "gap" ~sampling:None ~tier:(Some (4, 1))
+      in
+      Alcotest.(check (list string)) "gap: PPP instruments only gcd" [ "gcd" ]
+        (Hashtbl.fold (fun k _ acc -> k :: acc) inst.Instrument.rt []);
+      Alcotest.(check (list string)) "gap: the one budget unit tiers gcd"
+        [ "gcd" ]
+        (List.map (fun (d : Tier.decision) -> d.Tier.d_routine)
+           gap.Interp.tier_decisions);
+      Alcotest.(check bool) "gap: tiering retires instrumentation cost" true
+        (gap.Interp.instr_cost < untiered.Interp.instr_cost);
+      let inst, _ = pipeline_run "mcf" ~sampling:None ~tier:None in
+      Alcotest.(check int) "mcf: PPP instruments no routine" 0
+        (Hashtbl.length inst.Instrument.rt);
+      List.iter
+        (fun (what, sampling, tier) ->
+          let _, (o, trips, ticks) = pipeline_run "mcf" ~sampling ~tier in
+          Alcotest.(check int) ("mcf " ^ what ^ ": no tier decision") 0
+            (List.length o.Interp.tier_decisions);
+          Alcotest.(check int) ("mcf " ^ what ^ ": no trip") 0 trips;
+          Alcotest.(check int) ("mcf " ^ what ^ ": no tick") 0 ticks)
+        [
+          ("tiered", None, Some (4, 2));
+          ("sampled 1/4", Some (Sampling.spec ~denom:4 ~seed:1 ()), None);
+        ])
+
 let suite =
   List.map workload_case Spec.all
   @ [
@@ -459,4 +533,6 @@ let suite =
         tiered_run_pipeline;
       Alcotest.test_case "tier.* metrics" `Quick tier_metrics;
       Alcotest.test_case "nested run in a planner" `Quick nested_planner_run;
+      Alcotest.test_case "skipped routines never trip or tick" `Quick
+        skipped_routines_never_resolve;
     ]
