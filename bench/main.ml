@@ -1,19 +1,22 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 8) on the synthetic SPEC2000 workloads,
-   and measures real wall-clock instrumentation overhead with Bechamel.
+   paper's evaluation (Section 8) on the synthetic SPEC2000 workloads
+   from the deterministic cost model, and writes them as one
+   machine-readable document that CI gates. Wall-clock time is measured
+   by the repository benchmark (perfbench/), not here; the one timed
+   path left is --throughput.
 
    Usage:
-     main.exe                      all tables and figures, then timing
+     main.exe                      all tables and figures
      main.exe table1|table2|fig9|fig10|fig11|fig12|fig13|sec8.1
-     main.exe timing               Bechamel wall-clock overheads
+     main.exe sampling|tiered|drift|tables
      main.exe --scale N ...        larger inputs (default 1)
      main.exe --bench a,b,c ...    restrict to some benchmarks
      main.exe --json FILE ...      machine-readable results (default
                                    BENCH_results.json; --no-json to skip)
      main.exe -j N | --shards N    evaluate benchmarks across N worker
                                    processes (machine-readable only: no
-                                   tables, no wall-clock timing; the JSON
-                                   is byte-identical at every -j)
+                                   tables, no throughput; the JSON is
+                                   byte-identical at every -j)
      main.exe --seed N             PRNG seed recorded in the JSON and fed
                                    to shard workers (default 0)
      main.exe --smoke              machine-readable only, without forking
@@ -21,8 +24,9 @@
                                    VM and reference) per benchmark and
                                    record it in the JSON; ignored under -j
      main.exe --min-vm-ratio R     exit 1 if any benchmark's VM/reference
-                                   throughput ratio is below R (requires
-                                   --throughput)
+                                   throughput ratio is below R, or if no
+                                   throughput was measured (needs
+                                   --throughput, without -j)
      main.exe --min-layout-wins N  exit 1 unless at least N benchmarks'
                                    closed superblock+layout loop strictly
                                    drops taken transfers, and PPP's
@@ -47,18 +51,12 @@
                                    controller armed and record swap
                                    counts, instrumentation-cost savings
                                    and layout-proxy scores in the JSON
-                                   (deterministic, so it works under
-                                   -j); outside -j/--smoke it also
-                                   measures the tiered single run vs the
-                                   two-pass flow with the wall clock
-                                   (the "tiered" action prints the
-                                   table)
-     main.exe --min-tiered-wins N  exit 1 unless the tiered run beats
-                                   the two-pass flow on at least N
-                                   benchmarks — by wall clock when the
-                                   document carries tiered timing, by
-                                   retired instrumentation cost
-                                   otherwise (reads the assembled JSON;
+                                   (deterministic, so it works under -j;
+                                   the "tiered" action prints the table)
+     main.exe --min-tiered-wins N  exit 1 unless the tiered run retires
+                                   instrumentation cost against the
+                                   two-pass flow on at least N
+                                   benchmarks (reads the assembled JSON;
                                    fails if --tiered did not run)
      main.exe --drift-sweep        run the re-optimization loop twice
                                    per benchmark — pristine profile
@@ -73,122 +71,23 @@
                                    across the swept benchmarks, is at
                                    least S%% (reads the assembled JSON;
                                    fails if --drift-sweep did not run)
-     main.exe --baseline F --gate P
+     main.exe --baseline F --gate P [--strict]
                                    compare against a previous BENCH_*.json
-                                   and exit 1 if any cost-model overhead
-                                   (or wall-clock ratio, when both sides
-                                   have timing; or throughput ratio floor,
-                                   when both sides have throughput)
-                                   regressed by more than P%
+                                   and exit 1 if any metric of the gate
+                                   table (Ppp_harness.Gate) regressed by
+                                   more than P%; --strict also fails on a
+                                   metric the baseline has and the
+                                   current document lacks
      main.exe --no-cache           disable the per-benchmark analysis
                                    session (every analysis recomputed);
                                    results are byte-identical, only the
-                                   preparation work and wall time differ
-     main.exe --prepare-ms         print preparation wall-time per
-                                   benchmark and record it per phase in
-                                   the JSON (nondeterministic, so never
-                                   recorded under -j) *)
+                                   preparation work and wall time differ *)
 
 module H = Ppp_harness.Pipeline
 module R = Ppp_harness.Report
-module Config = Ppp_core.Config
 module Interp = Ppp_interp.Interp
-module Instrument = Ppp_core.Instrument
 
 let fmt = Format.std_formatter
-
-(* {2 Wall-clock timing with Bechamel} *)
-
-let time_quota = 0.5 (* seconds per test *)
-
-let run_silently ?instrumentation p =
-  (* For timing we disable profiling bookkeeping that the paper's
-     methodology does not charge (edge collection, ground-truth traces). *)
-  let config =
-    {
-      Interp.default_config with
-      collect_edges = false;
-      trace_paths = false;
-      instrumentation;
-    }
-  in
-  ignore (Interp.run ~config p)
-
-let bechamel_tests (benches : R.prepared_bench list) =
-  let open Bechamel in
-  List.concat_map
-    (fun (pb : R.prepared_bench) ->
-      let name = pb.R.spec.Ppp_workloads.Spec.bench_name in
-      let p = pb.R.prep.H.optimized in
-      let ep = Option.get pb.R.prep.H.base_outcome.Interp.edge_profile in
-      let instr config = (Instrument.instrument p ep config).Instrument.rt in
-      let pp_rt = instr Config.pp in
-      let tpp_rt = instr Config.tpp in
-      let ppp_rt = instr Config.ppp in
-      [
-        Test.make ~name:(name ^ "/base") (Staged.stage (fun () -> run_silently p));
-        Test.make ~name:(name ^ "/pp")
-          (Staged.stage (fun () -> run_silently ~instrumentation:pp_rt p));
-        Test.make ~name:(name ^ "/tpp")
-          (Staged.stage (fun () -> run_silently ~instrumentation:tpp_rt p));
-        Test.make ~name:(name ^ "/ppp")
-          (Staged.stage (fun () -> run_silently ~instrumentation:ppp_rt p));
-      ])
-    benches
-
-let run_bechamel tests =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second time_quota) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let estimates = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Hashtbl.replace estimates name est
-      | _ -> ())
-    results;
-  estimates
-
-(* Runs the Bechamel suite, prints the overhead table, and returns the
-   raw per-test nanosecond estimates for the JSON output. *)
-let timing benches =
-  Format.fprintf fmt
-    "@[<v>Wall-clock interpreter timing (Bechamel, monotonic clock)@,";
-  Format.fprintf fmt
-    "Overhead = instrumented time / base time - 1; compare with Figure 12's cost-model overheads.@,@,";
-  let estimates =
-    run_bechamel
-      (Bechamel.Test.make_grouped ~name:"overhead" ~fmt:"%s/%s"
-         (bechamel_tests benches))
-  in
-  let get name = Hashtbl.find_opt estimates ("overhead/" ^ name) in
-  Format.fprintf fmt "%-9s | %12s | %7s %7s %7s@," "bench" "base ns" "PP" "TPP"
-    "PPP";
-  List.iter
-    (fun (pb : R.prepared_bench) ->
-      let name = pb.R.spec.Ppp_workloads.Spec.bench_name in
-      match
-        ( get (name ^ "/base"),
-          get (name ^ "/pp"),
-          get (name ^ "/tpp"),
-          get (name ^ "/ppp") )
-      with
-      | Some base, Some pp, Some tpp, Some ppp when base > 0.0 ->
-          let ov x = 100.0 *. ((x /. base) -. 1.0) in
-          Format.fprintf fmt "%-9s | %12.0f | %6.1f%% %6.1f%% %6.1f%%@," name base
-            (ov pp) (ov tpp) (ov ppp)
-      | _ -> Format.fprintf fmt "%-9s | (no estimate)@," name)
-    benches;
-  Format.fprintf fmt "@]@.";
-  get
 
 (* {2 Engine throughput: Minstr/s per engine}
 
@@ -236,92 +135,9 @@ let throughput ~min_time benches =
       (name, (vm, reference, ratio)))
     benches
 
-(* {2 Tiered single run vs the two-pass flow (wall clock)}
-
-   The end-to-end claim of tiered execution: one run that starts
-   instrumented and swaps hot routines mid-run should beat the two-pass
-   flow (a full instrumented run, then a separate optimized run) on the
-   wall clock, because the second pass's work happens inside the first.
-   Best-of repeated runs until [min_time] per side, like [throughput]. *)
-
-let tiered_timing_one ~min_time (pb : R.prepared_bench) =
-  let prep = pb.R.prep in
-  let p = prep.H.optimized in
-  let inst = (R.tiered_of pb).R.tt_instrumented in
-  let quiet cfg =
-    { cfg with Interp.collect_edges = false; trace_paths = false }
-  in
-  let cfg_instr =
-    quiet
-      {
-        Interp.default_config with
-        instrumentation = Some inst.Instrument.rt;
-      }
-  in
-  let cfg_plain = quiet Interp.default_config in
-  let cfg_tiered =
-    quiet
-      {
-        Interp.default_config with
-        instrumentation = Some inst.Instrument.rt;
-        tier =
-          Some
-            (Ppp_interp.Tier.spec ~threshold:R.tier_threshold
-               ~plan:(H.tier_planner prep inst) ());
-      }
-  in
-  let measure f =
-    ignore (f ());
-    (* warm-up *)
-    let best = ref infinity in
-    let spent = ref 0.0 in
-    while !spent < min_time do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      spent := !spent +. dt;
-      if dt > 0.0 then best := Float.min !best dt
-    done;
-    !best
-  in
-  let tiered = measure (fun () -> Interp.run ~config:cfg_tiered p) in
-  let two_pass =
-    measure (fun () ->
-        ignore (Interp.run ~config:cfg_instr p);
-        Interp.run ~config:cfg_plain p)
-  in
-  (tiered *. 1e9, two_pass *. 1e9,
-   if two_pass > 0.0 then tiered /. two_pass else 0.0)
-
-let tiered_timing ~min_time benches =
-  Format.eprintf
-    "tiered vs two-pass wall clock (best of >= %.2fs per side):@." min_time;
-  List.map
-    (fun (pb : R.prepared_bench) ->
-      let name = pb.R.spec.Ppp_workloads.Spec.bench_name in
-      let tiered, two_pass, ratio = tiered_timing_one ~min_time pb in
-      Format.eprintf
-        "  %-9s | tiered %10.0f ns | two-pass %10.0f ns | x%.2f%s@." name
-        tiered two_pass ratio
-        (if tiered < two_pass then "  (win)" else "");
-      (name, (tiered, two_pass, ratio)))
-    benches
-
 (* {2 Machine-readable results: BENCH_*.json} *)
 
 module J = Ppp_obs.Jsonx
-
-let tiered_timing_json results name =
-  match List.assoc_opt name results with
-  | None -> None
-  | Some (tiered, two_pass, ratio) ->
-      Some
-        (J.Obj
-           [
-             ("tiered_ns", J.Float tiered);
-             ("two_pass_ns", J.Float two_pass);
-             ("ratio", J.Float ratio);
-           ])
 
 let throughput_json results name =
   match List.assoc_opt name results with
@@ -338,6 +154,12 @@ let throughput_json results name =
 (* Exit 1 when the VM fails to clear the requested speedup floor — the
    absolute companion to the Gate's relative throughput check. *)
 let check_min_ratio ~floor results =
+  if results = [] then begin
+    Format.eprintf
+      "throughput: --min-vm-ratio given but no throughput was measured (run \
+       with --throughput, without -j)@.";
+    exit 1
+  end;
   let bad = List.filter (fun (_, (_, _, ratio)) -> ratio < floor) results in
   if bad <> [] then begin
     List.iter
@@ -349,11 +171,6 @@ let check_min_ratio ~floor results =
     exit 1
   end
 
-(* Exit 1 unless path-guided layout pays off broadly enough: the layout
-   PPP's estimated profile dictates must strictly drop taken transfers
-   on at least [min_wins] benchmarks, and PPP's aggregate layout
-   improvement must be at least edge profiling's. Reads the assembled
-   document, so the check is byte-identical under -j. *)
 let member_path j path =
   List.fold_left (fun j k -> Option.bind j (fun j -> J.member j k)) (Some j)
     path
@@ -364,10 +181,16 @@ let num j path =
   | Some (J.Int i) -> Some (float_of_int i)
   | _ -> None
 
+let benchmarks doc =
+  J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
+
+(* Exit 1 unless path-guided layout pays off broadly enough: the layout
+   PPP's estimated profile dictates must strictly drop taken transfers
+   on at least [min_wins] benchmarks, and PPP's aggregate layout
+   improvement must be at least edge profiling's. Reads the assembled
+   document, so the check is byte-identical under -j. *)
 let check_layout_wins ~min_wins doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
+  let benches = benchmarks doc in
   let wins =
     List.length
       (List.filter
@@ -426,9 +249,7 @@ let check_layout_wins ~min_wins doc =
    overhead stays at or below [max_overhead_pct] percent. Reads the
    assembled document, so the check is byte-identical under -j. *)
 let check_sampling_floor ~min_overlap ~max_overhead_pct doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
+  let benches = benchmarks doc in
   (* denom -> (sum overlap, sum overhead, count) over swept benchmarks *)
   let by_denom : (int, float * float * int) Hashtbl.t = Hashtbl.create 7 in
   List.iter
@@ -493,15 +314,10 @@ let check_sampling_floor ~min_overlap ~max_overhead_pct doc =
         min_overlap max_overhead_pct;
       exit 1
 
-(* Exit 1 unless tiering actually pays: the tiered single run must beat
-   the two-pass flow on at least [min_wins] benchmarks — by wall clock
-   when the document carries the tiered timing comparison, by retired
-   instrumentation cost otherwise (the deterministic proxy, which is
-   what a sharded run has). Reads the assembled document. *)
+(* Exit 1 unless tiering actually pays: the tiered single run must
+   retire instrumentation cost against the two-pass flow on at least
+   [min_wins] benchmarks. Reads the assembled document. *)
 let check_tiered_wins ~min_wins doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
   let results =
     List.filter_map
       (fun b ->
@@ -511,15 +327,7 @@ let check_tiered_wins ~min_wins doc =
             let name =
               match J.member b "name" with Some (J.Str n) -> n | _ -> "?"
             in
-            let wall =
-              match
-                ( num t [ "timing"; "tiered_ns" ],
-                  num t [ "timing"; "two_pass_ns" ] )
-              with
-              | Some a, Some b -> Some (a < b)
-              | _ -> None
-            in
-            let cost =
+            let won =
               match
                 ( num t [ "tiered_instr_cost" ],
                   num t [ "untiered_instr_cost" ] )
@@ -527,8 +335,8 @@ let check_tiered_wins ~min_wins doc =
               | Some a, Some b -> a < b
               | _ -> false
             in
-            Some (name, wall, cost))
-      benches
+            Some (name, won))
+      (benchmarks doc)
   in
   if results = [] then begin
     Format.eprintf
@@ -536,19 +344,15 @@ let check_tiered_wins ~min_wins doc =
        object (run with --tiered)@.";
     exit 1
   end;
-  let by_wall = List.exists (fun (_, w, _) -> w <> None) results in
-  let won (_, wall, cost) =
-    match wall with Some w -> w | None -> cost
-  in
-  let wins = List.filter won results in
+  let wins = List.filter snd results in
   Format.eprintf
-    "tiered: single run beats two-pass on %d/%d benchmarks (by %s)@."
-    (List.length wins) (List.length results)
-    (if by_wall then "wall clock" else "retired instrumentation cost");
+    "tiered: single run beats two-pass on %d/%d benchmarks (by retired \
+     instrumentation cost)@."
+    (List.length wins) (List.length results);
   if List.length wins < min_wins then begin
     List.iter
-      (fun ((name, _, _) as r) ->
-        if not (won r) then Format.eprintf "tiered: %s did not win@." name)
+      (fun (name, won) ->
+        if not won then Format.eprintf "tiered: %s did not win@." name)
       results;
     Format.eprintf "tiered: %d win(s) is below the floor %d@."
       (List.length wins) min_wins;
@@ -560,9 +364,7 @@ let check_tiered_wins ~min_wins doc =
    across the swept benchmarks, must be at least [min_stability]
    percent. Reads the assembled document. *)
 let check_drift_floor ~min_stability doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
+  let benches = benchmarks doc in
   let pts =
     List.filter_map
       (fun b ->
@@ -592,31 +394,6 @@ let check_drift_floor ~min_stability doc =
     Format.eprintf "drift: %.1f%% is below the floor %g%%@." davg min_stability;
     exit 1
   end
-
-let timing_json get name =
-  match
-    ( get (name ^ "/base"),
-      get (name ^ "/pp"),
-      get (name ^ "/tpp"),
-      get (name ^ "/ppp") )
-  with
-  | Some base, Some pp, Some tpp, Some ppp ->
-      Some
-        (J.Obj
-           [
-             ("base_ns", J.Float base);
-             ("pp_ns", J.Float pp);
-             ("tpp_ns", J.Float tpp);
-             ("ppp_ns", J.Float ppp);
-           ])
-  | _ -> None
-
-(* The whole document is canonicalized (objects key-sorted) before
-   writing, so BENCH_*.json is byte-stable for a given tree: same rows
-   at every -j, no field-order drift. *)
-let write_doc ~path doc =
-  Ppp_obs.Sink.write_json ~path (J.canonical doc);
-  Format.eprintf "wrote %s@." path
 
 (* {2 Sharded evaluation}
 
@@ -679,20 +456,33 @@ let run_gate ~baseline_path ~strict ~pct current =
       Format.eprintf "%a" Gate.pp_failures fails;
       exit 1
 
-(* The session's warm-vs-cold work saving shows up here as wall time:
-   compare a run with and without --no-cache. *)
-let print_prepare_ms benches =
-  Format.eprintf "prepare wall-time per benchmark:@.";
-  let total =
-    List.fold_left
-      (fun acc (pb : R.prepared_bench) ->
-        let ms = H.prepare_ms pb.R.prep in
-        Format.eprintf "  %-9s | %8.1f ms@."
-          pb.R.spec.Ppp_workloads.Spec.bench_name ms;
-        acc +. ms)
-      0.0 benches
+(* The human-readable tables, printed before the document is written;
+   no action means all of them. *)
+let run_actions actions benches =
+  let all_reports () =
+    R.table1 fmt benches;
+    R.table2 fmt benches;
+    R.fig9_10_11 fmt benches;
+    R.fig12 fmt benches;
+    R.fig13 fmt benches;
+    R.section8_1 fmt benches
   in
-  Format.eprintf "  %-9s | %8.1f ms@." "total" total
+  if actions = [] then all_reports ()
+  else
+    List.iter
+      (function
+        | "table1" -> R.table1 fmt benches
+        | "table2" -> R.table2 fmt benches
+        | "fig9" | "fig10" | "fig11" -> R.fig9_10_11 fmt benches
+        | "fig12" -> R.fig12 fmt benches
+        | "fig13" -> R.fig13 fmt benches
+        | "sec8.1" -> R.section8_1 fmt benches
+        | "sampling" -> R.sampling_report fmt benches
+        | "tiered" -> R.tiered_report fmt benches
+        | "drift" -> R.drift_report fmt benches
+        | "tables" -> all_reports ()
+        | other -> Format.fprintf fmt "unknown action %s@." other)
+      actions
 
 (* {2 Argument handling} *)
 
@@ -712,7 +502,6 @@ let () =
   let min_vm_ratio = ref None in
   let min_layout_wins = ref None in
   let no_cache = ref false in
-  let prepare_ms = ref false in
   let sampling_sweep = ref false in
   let sweep_floor = ref None in
   let tiered = ref false in
@@ -763,9 +552,6 @@ let () =
     | "--no-cache" :: rest ->
         no_cache := true;
         parse rest
-    | "--prepare-ms" :: rest ->
-        prepare_ms := true;
-        parse rest
     | "--sampling-sweep" :: rest ->
         sampling_sweep := true;
         parse rest
@@ -796,169 +582,60 @@ let () =
   in
   parse args;
   let actions = List.rev !actions in
-  if !jobs > 1 || !smoke then begin
-    (* Machine-readable only: tables and Bechamel timing are excluded so
-       the output carries no wall-clock noise and no fork-order
-       dependence. *)
-    if actions <> [] then
-      Format.eprintf "note: actions %s are ignored under -j/--smoke@."
-        (String.concat ", " actions);
-    let selected =
-      match !names with
-      | Some ns -> ns
-      | None -> Ppp_workloads.Spec.names ()
-    in
-    if !throughput_mode && !jobs > 1 then
-      Format.eprintf
-        "note: --throughput is ignored under -j (wall-clock numbers from \
-         concurrent workers would be noise)@.";
-    if !tiered && !jobs > 1 then
-      Format.eprintf
-        "note: --tiered records only deterministic fields under -j (the \
-         wall-clock comparison would be noise from concurrent workers)@.";
-    let tp_results = ref [] in
-    let rows, lost =
-      if !jobs > 1 then begin
-        if !prepare_ms then
-          Format.eprintf
-            "note: --prepare-ms is ignored under -j (wall-clock would break \
-             the byte-identity of the sharded document)@.";
+  let sharded = !jobs > 1 in
+  (* -j and --smoke are machine-readable only: they print no tables. *)
+  let machine_only = sharded || !smoke in
+  if machine_only && actions <> [] then
+    Format.eprintf "note: actions %s are ignored under -j/--smoke@."
+      (String.concat ", " actions);
+  if sharded && !throughput_mode then
+    Format.eprintf
+      "note: --throughput is ignored under -j (wall-clock numbers from \
+       concurrent workers would be noise)@.";
+  let rows, lost, tp_results =
+    if sharded then
+      let rows, lost =
         sharded_rows ~jobs:!jobs ~seed:!seed ~scale:!scale
           ~sampling:!sampling_sweep ~tiered:!tiered ~drift:!drift_sweep
-          selected
-      end
-      else begin
-        let benches =
-          R.prepare_all ~scale:!scale ~names:selected ~cache:(not !no_cache) ()
-        in
-        if !prepare_ms then print_prepare_ms benches;
-        let throughput =
-          if !throughput_mode then begin
-            tp_results := throughput ~min_time:0.08 benches;
-            throughput_json !tp_results
-          end
-          else fun _ -> None
-        in
-        ( List.map
-            (fun pb ->
-              R.bench_json_one ~throughput ~prepare:!prepare_ms
-                ~sampling:!sampling_sweep ~tiered:!tiered
-                ~drift:!drift_sweep pb)
-            benches,
-          [] )
-      end
-    in
-    List.iter
-      (fun d -> Format.eprintf "%a@." Ppp_resilience.Diagnostic.pp d)
-      lost;
-    let doc = J.canonical (R.bench_json_wrap ~scale:!scale ~seed:!seed rows) in
-    (match !json_path with
-    | None -> ()
-    | Some path -> write_doc ~path doc);
-    (match !baseline with
-    | None -> ()
-    | Some b -> run_gate ~baseline_path:b ~strict:!strict ~pct:!gate_pct doc);
-    (match !min_vm_ratio with
-    | Some floor when !tp_results <> [] ->
-        check_min_ratio ~floor !tp_results
-    | _ -> ());
-    (match !min_layout_wins with
-    | Some n -> check_layout_wins ~min_wins:n doc
-    | None -> ());
-    (match !sweep_floor with
-    | Some (ov, oh) ->
-        check_sampling_floor ~min_overlap:ov ~max_overhead_pct:oh doc
-    | None -> ());
-    (match !min_tiered_wins with
-    | Some n -> check_tiered_wins ~min_wins:n doc
-    | None -> ());
-    (match !drift_floor with
-    | Some s -> check_drift_floor ~min_stability:s doc
-    | None -> ());
-    if lost <> [] then exit 2
-  end
-  else begin
-    let benches =
-      R.prepare_all ~scale:!scale ?names:!names ~cache:(not !no_cache) ()
-    in
-    if !prepare_ms then print_prepare_ms benches;
-    let timing_get = ref None in
-    let run_timing () = timing_get := Some (timing benches) in
-    let all_reports () =
-      R.table1 fmt benches;
-      R.table2 fmt benches;
-      R.fig9_10_11 fmt benches;
-      R.fig12 fmt benches;
-      R.fig13 fmt benches;
-      R.section8_1 fmt benches
-    in
-    (match actions with
-    | [] ->
-        all_reports ();
-        run_timing ()
-    | acts ->
-        List.iter
-          (function
-            | "table1" -> R.table1 fmt benches
-            | "table2" -> R.table2 fmt benches
-            | "fig9" | "fig10" | "fig11" -> R.fig9_10_11 fmt benches
-            | "fig12" -> R.fig12 fmt benches
-            | "fig13" -> R.fig13 fmt benches
-            | "sec8.1" -> R.section8_1 fmt benches
-            | "sampling" -> R.sampling_report fmt benches
-            | "tiered" -> R.tiered_report fmt benches
-            | "drift" -> R.drift_report fmt benches
-            | "tables" -> all_reports ()
-            | "timing" -> run_timing ()
-            | other -> Format.fprintf fmt "unknown action %s@." other)
-          acts);
-    let timing =
-      match !timing_get with
-      | None -> fun _ -> None
-      | Some get -> timing_json get
-    in
-    let tp_results =
-      if !throughput_mode then throughput ~min_time:0.25 benches else []
-    in
-    let throughput =
-      if tp_results = [] then fun _ -> None else throughput_json tp_results
-    in
-    let tiered_timing_results =
-      if !tiered then tiered_timing ~min_time:0.25 benches else []
-    in
-    let tiered_timing =
-      if tiered_timing_results = [] then fun _ -> None
-      else tiered_timing_json tiered_timing_results
-    in
-    let doc =
-      J.canonical
-        (R.bench_json_wrap ~scale:!scale ~seed:!seed
-           (List.map
-              (R.bench_json_one ~timing ~throughput ~prepare:!prepare_ms
-                 ~sampling:!sampling_sweep ~tiered:!tiered ~tiered_timing
-                 ~drift:!drift_sweep)
-              benches))
-    in
-    (match !json_path with
-    | None -> ()
-    | Some path -> write_doc ~path doc);
-    (match !baseline with
-    | None -> ()
-    | Some b -> run_gate ~baseline_path:b ~strict:!strict ~pct:!gate_pct doc);
-    (match !min_vm_ratio with
-    | Some floor when tp_results <> [] -> check_min_ratio ~floor tp_results
-    | _ -> ());
-    (match !min_layout_wins with
-    | Some n -> check_layout_wins ~min_wins:n doc
-    | None -> ());
-    (match !sweep_floor with
-    | Some (ov, oh) ->
-        check_sampling_floor ~min_overlap:ov ~max_overhead_pct:oh doc
-    | None -> ());
-    (match !min_tiered_wins with
-    | Some n -> check_tiered_wins ~min_wins:n doc
-    | None -> ());
-    match !drift_floor with
-    | Some s -> check_drift_floor ~min_stability:s doc
-    | None -> ()
-  end
+          (Option.value !names ~default:(Ppp_workloads.Spec.names ()))
+      in
+      (rows, lost, [])
+    else begin
+      let benches =
+        R.prepare_all ~scale:!scale ?names:!names ~cache:(not !no_cache) ()
+      in
+      if not machine_only then run_actions actions benches;
+      let tp_results =
+        if !throughput_mode then
+          throughput ~min_time:(if machine_only then 0.08 else 0.25) benches
+        else []
+      in
+      ( List.map
+          (R.bench_json_one ~throughput:(throughput_json tp_results)
+             ~sampling:!sampling_sweep ~tiered:!tiered ~drift:!drift_sweep)
+          benches,
+        [],
+        tp_results )
+    end
+  in
+  List.iter (fun d -> Format.eprintf "%a@." Ppp_resilience.Diagnostic.pp d) lost;
+  (* Canonical (objects key-sorted), so BENCH_*.json is byte-stable for a
+     given tree: same rows at every -j, no field-order drift. *)
+  let doc = J.canonical (R.bench_json_wrap ~scale:!scale ~seed:!seed rows) in
+  Option.iter
+    (fun path ->
+      Ppp_obs.Sink.write_json ~path doc;
+      Format.eprintf "wrote %s@." path)
+    !json_path;
+  Option.iter
+    (fun b -> run_gate ~baseline_path:b ~strict:!strict ~pct:!gate_pct doc)
+    !baseline;
+  Option.iter (fun floor -> check_min_ratio ~floor tp_results) !min_vm_ratio;
+  Option.iter (fun n -> check_layout_wins ~min_wins:n doc) !min_layout_wins;
+  Option.iter
+    (fun (ov, oh) ->
+      check_sampling_floor ~min_overlap:ov ~max_overhead_pct:oh doc)
+    !sweep_floor;
+  Option.iter (fun n -> check_tiered_wins ~min_wins:n doc) !min_tiered_wins;
+  Option.iter (fun s -> check_drift_floor ~min_stability:s doc) !drift_floor;
+  if lost <> [] then exit 2

@@ -10,9 +10,39 @@ type failure = {
 type warning = { bench : string; metric : string }
 type result = { failures : failure list; warnings : warning list }
 
+type direction = Ceiling | Floor
+type step = Key of string | Rate
+type row = { path : step list; direction : direction; label : string }
+
+(* Every gated metric of a benchmark row. The first key of a path is the
+   row's section. A [Rate] step pairs the elements of a [rates] array by
+   [denom], so reordering or extending the sampling sweep never
+   mis-pairs points; its rate ("1/4") replaces the label's [*]. *)
+let table =
+  let row direction label path = { path; direction; label } in
+  let keys = List.map (fun k -> Key k) in
+  let rate k = [ Key "sampling"; Key "rates"; Rate; Key k ] in
+  [
+    row Ceiling "pp.overhead" (keys [ "methods"; "pp"; "overhead" ]);
+    row Ceiling "tpp.overhead" (keys [ "methods"; "tpp"; "overhead" ]);
+    row Ceiling "ppp.overhead" (keys [ "methods"; "ppp"; "overhead" ]);
+    row Floor "throughput.ratio" (keys [ "throughput"; "ratio" ]);
+    row Floor "layout.methods.ppp.improvement"
+      (keys [ "layout"; "methods"; "ppp"; "improvement" ]);
+    row Floor "layout.closed_loop.improvement"
+      (keys [ "layout"; "closed_loop"; "improvement" ]);
+    row Ceiling "sampling.*.overhead" (rate "overhead");
+    row Floor "sampling.*.overlap_vs_full" (rate "overlap_vs_full");
+    row Floor "sampling.*.overlap_vs_truth" (rate "overlap_vs_truth");
+    row Floor "tiered.instr_saving" (keys [ "tiered"; "instr_saving" ]);
+    row Floor "tiered.layout.improvement"
+      (keys [ "tiered"; "layout"; "improvement" ]);
+    row Floor "drift.drift_stability" (keys [ "drift"; "drift_stability" ]);
+  ]
+
 let fnum = function
-  | Some (J.Float x) -> Some x
-  | Some (J.Int i) -> Some (float_of_int i)
+  | J.Float x -> Some x
+  | J.Int i -> Some (float_of_int i)
   | _ -> None
 
 let benches_of json =
@@ -22,8 +52,20 @@ let benches_of json =
          | Some (J.Str n) -> Some (n, b)
          | _ -> None)
 
-let exceeds ~pct ~baseline ~current =
-  current > baseline +. Float.max 1e-9 (pct /. 100. *. Float.abs baseline)
+let by_denom rates =
+  J.to_list rates
+  |> List.filter_map (fun r ->
+         match J.member r "denom" with
+         | Some (J.Int d) -> Some (d, r)
+         | _ -> None)
+
+(* Beyond [pct] percent of the baseline, with a 1e-9 absolute floor so
+   zero baselines don't trip on rounding. *)
+let regressed direction ~pct ~baseline ~current =
+  let tol = Float.max 1e-9 (pct /. 100. *. Float.abs baseline) in
+  match direction with
+  | Ceiling -> current > baseline +. tol
+  | Floor -> current < baseline -. tol
 
 let run ?(strict = false) ~baseline ~current ~pct () =
   let fails = ref [] in
@@ -38,173 +80,65 @@ let run ?(strict = false) ~baseline ~current ~pct () =
     if strict then fail bench metric b Float.nan
     else warns := { bench; metric } :: !warns
   in
+  let gate_bench name bj cj =
+    (* A section or rate the current row lacks is reported once, however
+       many rows sit under it. *)
+    let reported = ref [] in
+    let missing_once metric =
+      if not (List.mem metric !reported) then begin
+        reported := metric :: !reported;
+        missing name metric Float.nan
+      end
+    in
+    List.iter
+      (fun row ->
+        match row.path with
+        | Key section :: path -> (
+            let rec walk label b c = function
+              | [] -> (
+                  match (fnum b, Option.bind c fnum) with
+                  | None, _ -> ()
+                  | Some bv, None -> missing name label bv
+                  | Some bv, Some cv ->
+                      if regressed row.direction ~pct ~baseline:bv ~current:cv
+                      then fail name label bv cv)
+              | Key k :: rest ->
+                  Option.iter
+                    (fun b ->
+                      walk label b (Option.bind c (fun c -> J.member c k)) rest)
+                    (J.member b k)
+              | Rate :: rest ->
+                  let cur = Option.fold ~none:[] ~some:by_denom c in
+                  List.iter
+                    (fun (d, br) ->
+                      let rate = Printf.sprintf "1/%d" d in
+                      match List.assoc_opt d cur with
+                      | None -> missing_once (section ^ "." ^ rate ^ ".rate")
+                      | Some cr ->
+                          let label =
+                            String.concat rate (String.split_on_char '*' label)
+                          in
+                          walk label br (Some cr) rest)
+                    (by_denom b)
+            in
+            match (J.member bj section, J.member cj section) with
+            | None, _ -> ()
+            | Some _, None -> missing_once section
+            | Some b, Some c -> walk row.label b (Some c) path)
+        | _ -> invalid_arg "Gate.table: a path starts with its section key")
+      table
+  in
   (match (J.member baseline "schema", J.member current "schema") with
   | Some (J.Str a), Some (J.Str b) when a = b -> ()
   | _ -> fail "(document)" "schema" Float.nan Float.nan);
-  let base_benches = benches_of baseline in
   let cur_benches = benches_of current in
   List.iter
     (fun (name, bj) ->
       match List.assoc_opt name cur_benches with
       | None -> fail name "missing" 1.0 0.0
-      | Some cj ->
-          List.iter
-            (fun m ->
-              let overhead j =
-                Option.bind (J.member j "methods") (fun ms ->
-                    Option.bind (J.member ms m) (fun e ->
-                        fnum (J.member e "overhead")))
-              in
-              match (overhead bj, overhead cj) with
-              | Some b, Some c ->
-                  if exceeds ~pct ~baseline:b ~current:c then
-                    fail name (m ^ ".overhead") b c
-              | Some b, None -> missing name (m ^ ".overhead") b
-              | None, _ -> ())
-            [ "pp"; "tpp"; "ppp" ];
-          (* Wall-clock ratios, only when both sides measured them. *)
-          (match (J.member bj "timing", J.member cj "timing") with
-          | Some bt, Some ct ->
-              List.iter
-                (fun k ->
-                  let ratio t =
-                    match (fnum (J.member t "base_ns"), fnum (J.member t k)) with
-                    | Some base, Some v when base > 0.0 -> Some (v /. base)
-                    | _ -> None
-                  in
-                  match (ratio bt, ratio ct) with
-                  | Some b, Some c ->
-                      if exceeds ~pct ~baseline:b ~current:c then
-                        fail name ("timing." ^ k) b c
-                  | Some b, None -> missing name ("timing." ^ k) b
-                  | None, _ -> ())
-                [ "pp_ns"; "tpp_ns"; "ppp_ns" ]
-          | Some _, None -> missing name "timing" Float.nan
-          | None, _ -> ());
-          (* VM-vs-reference throughput is gated the other way round: the
-             ratio is a floor, and dropping below it is the regression. *)
-          (match (J.member bj "throughput", J.member cj "throughput") with
-          | Some bt, Some ct -> (
-              match (fnum (J.member bt "ratio"), fnum (J.member ct "ratio")) with
-              | Some b, Some c ->
-                  if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b) then
-                    fail name "throughput.ratio" b c
-              | Some b, None -> missing name "throughput.ratio" b
-              | None, _ -> ())
-          | Some _, None -> missing name "throughput" Float.nan
-          | None, _ -> ());
-          (* Layout improvements are floors too: the estimated benefit of
-             PPP-guided layout, and the closed superblock+layout loop's,
-             must not sink below baseline. *)
-          (match (J.member bj "layout", J.member cj "layout") with
-          | Some bl, Some cl ->
-              List.iter
-                (fun (metric, get) ->
-                  match (get bl, get cl) with
-                  | Some b, Some c ->
-                      if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b)
-                      then fail name metric b c
-                  | Some b, None -> missing name metric b
-                  | None, _ -> ())
-                [
-                  ( "layout.methods.ppp.improvement",
-                    fun j ->
-                      Option.bind (J.member j "methods") (fun ms ->
-                          Option.bind (J.member ms "ppp") (fun e ->
-                              fnum (J.member e "improvement"))) );
-                  ( "layout.closed_loop.improvement",
-                    fun j ->
-                      Option.bind (J.member j "closed_loop") (fun c ->
-                          fnum (J.member c "improvement")) );
-                ]
-          | Some _, None -> missing name "layout" Float.nan
-          | None, _ -> ());
-          (* Sampling-sweep points: overhead at each swept rate is a
-             ceiling, overlap vs the unsampled estimate (and vs truth) a
-             floor. Rates are matched by denominator, so reordering or
-             extending the sweep never mis-pairs points; a rate the
-             baseline has but the current sweep lacks is missing. *)
-          (match (J.member bj "sampling", J.member cj "sampling") with
-          | Some bs, Some cs ->
-              let rates j =
-                J.to_list (Option.value ~default:(J.Arr []) (J.member j "rates"))
-                |> List.filter_map (fun r ->
-                       match J.member r "denom" with
-                       | Some (J.Int d) -> Some (d, r)
-                       | _ -> None)
-              in
-              let cur_rates = rates cs in
-              List.iter
-                (fun (denom, br) ->
-                  let label k = Printf.sprintf "sampling.1/%d.%s" denom k in
-                  match List.assoc_opt denom cur_rates with
-                  | None -> missing name (label "rate") Float.nan
-                  | Some cr ->
-                      (match
-                         (fnum (J.member br "overhead"), fnum (J.member cr "overhead"))
-                       with
-                      | Some b, Some c ->
-                          if exceeds ~pct ~baseline:b ~current:c then
-                            fail name (label "overhead") b c
-                      | Some b, None -> missing name (label "overhead") b
-                      | None, _ -> ());
-                      List.iter
-                        (fun k ->
-                          match (fnum (J.member br k), fnum (J.member cr k)) with
-                          | Some b, Some c ->
-                              if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b)
-                              then fail name (label k) b c
-                          | Some b, None -> missing name (label k) b
-                          | None, _ -> ())
-                        [ "overlap_vs_full"; "overlap_vs_truth" ])
-                (rates bs)
-          | Some _, None -> missing name "sampling" Float.nan
-          | None, _ -> ());
-          (* Tiered execution: the fraction of instrumentation cost the
-             swaps retire, and the layout improvement of the installed
-             orders, are floors — tiering must not start paying less. *)
-          (match (J.member bj "tiered", J.member cj "tiered") with
-          | Some bt, Some ct ->
-              List.iter
-                (fun (metric, get) ->
-                  match (get bt, get ct) with
-                  | Some b, Some c ->
-                      if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b)
-                      then fail name metric b c
-                  | Some b, None -> missing name metric b
-                  | None, _ -> ())
-                [
-                  ( "tiered.instr_saving",
-                    fun j -> fnum (J.member j "instr_saving") );
-                  ( "tiered.layout.improvement",
-                    fun j ->
-                      Option.bind (J.member j "layout") (fun l ->
-                          fnum (J.member l "improvement")) );
-                ]
-          | Some _, None -> missing name "tiered" Float.nan
-          | None, _ -> ());
-          (* Drift sweep: the sampled+decayed loop's generation-2
-             decision stability is a floor — the fleet's profile store
-             must not start churning placements harder than the
-             baseline. *)
-          (match (J.member bj "drift", J.member cj "drift") with
-          | Some bd, Some cd -> (
-              match
-                ( fnum (J.member bd "drift_stability"),
-                  fnum (J.member cd "drift_stability") )
-              with
-              | Some b, Some c ->
-                  if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b) then
-                    fail name "drift.drift_stability" b c
-              | Some b, None -> missing name "drift.drift_stability" b
-              | None, _ -> ())
-          | Some _, None -> missing name "drift" Float.nan
-          | None, _ -> ()))
-    base_benches;
+      | Some cj -> gate_bench name bj cj)
+    (benches_of baseline);
   { failures = List.rev !fails; warnings = List.rev !warns }
-
-let check ~baseline ~current ~pct =
-  (run ~strict:false ~baseline ~current ~pct ()).failures
 
 (* Quality floors: absolute minimums a method's overlap must clear, read
    from a committed floors document against a [pppc report] summary. *)
@@ -223,11 +157,11 @@ let check_floors ~floors ~report =
     Option.bind (J.member report "summary") (fun s ->
         Option.bind (J.member s "methods") (fun ms ->
             Option.bind (J.member ms m) (fun e ->
-                fnum (J.member e "min_overlap"))))
+                Option.bind (J.member e "min_overlap") fnum)))
   in
   List.iter
     (fun (m, fj) ->
-      match fnum (J.member fj "min_overlap") with
+      match Option.bind (J.member fj "min_overlap") fnum with
       | None -> ()
       | Some floor -> (
           match summary_overlap m with

@@ -1,47 +1,28 @@
 (** The performance-regression gate: compare two [BENCH_*.json]
-    documents (see {!Report.bench_json}) and report every benchmark ×
-    method whose cost grew by more than a tolerance.
+    documents (rows from {!Report.bench_json_one}) and report every
+    benchmark metric that regressed by more than a tolerance.
 
-    Two kinds of numbers are gated:
+    The gated metrics are the rows of {!table}: a JSON path into a
+    benchmark's row, a direction and the label a failure carries. A
+    [Ceiling] fails when the current value exceeds the baseline's by
+    more than the tolerance, a [Floor] when it sinks more than the
+    tolerance below it. They are all deterministic cost-model or
+    layout-proxy figures except [throughput.ratio], the VM-vs-reference
+    wall-clock speedup, which is gated only when both documents carry a
+    [throughput] section.
 
-    - the deterministic cost-model [overhead] of each profiling method
-      (pp / tpp / ppp) — noise-free, so CI can gate on it with a tight
-      tolerance;
-    - wall-clock ratios ([pp_ns]/[base_ns], …), only when {e both}
-      documents carry a [timing] object for the benchmark, with
-      whatever looser tolerance the caller passes;
-    - the VM-vs-reference throughput [ratio], only when both documents
-      carry a [throughput] object for the benchmark. This one is a
-      floor, not a ceiling: the failure is the current ratio dropping
-      more than the tolerance {e below} the baseline's;
-    - the layout improvements ([layout.methods.ppp.improvement] and
-      [layout.closed_loop.improvement]) — floors like the throughput
-      ratio: the estimated benefit of PPP-guided layout, and of the
-      closed superblock+layout loop, must not sink below baseline;
-    - the sampling-sweep points ([sampling.rates], matched by
-      denominator), only when both documents carry a [sampling] object:
-      each rate's [overhead] is a ceiling and its [overlap_vs_full] /
-      [overlap_vs_truth] are floors, so the sampled collector can
-      neither get slower nor less accurate at any swept rate;
-    - the tiered-execution numbers ([tiered.instr_saving] and
-      [tiered.layout.improvement]), only when both documents carry a
-      [tiered] object — floors: the fraction of instrumentation cost
-      the mid-run swaps retire, and the layout improvement of the
-      installed block orders, must not sink below baseline;
-    - the drift sweep's [drift.drift_stability], only when both
-      documents carry a [drift] object — a floor: the sampled+decayed
-      re-optimization loop must not churn placements harder than the
-      baseline.
-
-    Benchmarks present in the baseline but missing from the current
-    document, and schema mismatches, are failures too — a gate that
-    silently compares nothing is worse than no gate. Benchmarks only in
-    the current document are ignored (adding a workload is not a
-    regression). *)
+    A metric the baseline has and the current document lacks is
+    reported, never skipped: a warning by default, a failure under
+    [strict]. A missing section ([sampling], [tiered], ...) or sampling
+    rate is reported once, under its own name. Benchmarks present in
+    the baseline but missing from the current document, and schema
+    mismatches, are failures too — a gate that silently compares
+    nothing is worse than no gate. Benchmarks only in the current
+    document are ignored (adding a workload is not a regression). *)
 
 type failure = {
   bench : string;
-  metric : string;  (** e.g. ["ppp.overhead"], ["timing.tpp_ns"] *)
+  metric : string;  (** a row's label, e.g. ["ppp.overhead"] *)
   baseline : float;
   current : float;  (** NaN when the metric is missing under strict *)
 }
@@ -52,6 +33,28 @@ type warning = { bench : string; metric : string }
 
 type result = { failures : failure list; warnings : warning list }
 
+type direction = Ceiling | Floor
+
+type step =
+  | Key of string  (** an object member *)
+  | Rate
+      (** each element of a [rates] array, paired with the current
+          document's element of the same [denom] *)
+
+type row = { path : step list; direction : direction; label : string }
+(** A path starts with its section's key. In the label of a row whose
+    path crosses a [Rate], [*] stands for that rate, e.g.
+    ["sampling.*.overhead"] fails as ["sampling.1/4.overhead"]; a rate
+    the current document lacks is reported as ["sampling.1/4.rate"]. *)
+
+val table : row list
+(** Every gated metric: [methods.{pp,tpp,ppp}.overhead] (ceilings),
+    [throughput.ratio], [layout.methods.ppp.improvement] and
+    [layout.closed_loop.improvement] (floors), the per-rate sampling
+    [overhead] (ceiling) and [overlap_vs_full] / [overlap_vs_truth]
+    (floors), [tiered.instr_saving] and [tiered.layout.improvement]
+    (floors), and [drift.drift_stability] (a floor). *)
+
 val run :
   ?strict:bool ->
   baseline:Ppp_obs.Jsonx.t ->
@@ -59,20 +62,13 @@ val run :
   pct:float ->
   unit ->
   result
-(** Full gate result. Metrics present in the baseline but absent from
-    the current document become {!warning}s; with [strict] (default
-    false) they become failures (with [current = nan]) instead. *)
-
-val check :
-  baseline:Ppp_obs.Jsonx.t ->
-  current:Ppp_obs.Jsonx.t ->
-  pct:float ->
-  failure list
-(** All regressions beyond [pct] percent (relative to the baseline
-    value, with a 1e-9 absolute floor so zero baselines don't trip on
-    rounding); [[]] means the gate passes. Equivalent to
-    [(run ~strict:false ...).failures] — missing-metric warnings are
-    dropped; use {!run} to see them. *)
+(** Evaluate {!table} on every baseline benchmark. A regression is a
+    move beyond [pct] percent of the baseline value in the row's bad
+    direction, with a 1e-9 absolute floor so zero baselines don't trip
+    on rounding; [failures = []] means the gate passes. Metrics present
+    in the baseline but absent from the current document become
+    {!warning}s; with [strict] (default false) they become failures
+    (with [current = nan]) instead. *)
 
 val check_floors :
   floors:Ppp_obs.Jsonx.t -> report:Ppp_obs.Jsonx.t -> failure list

@@ -61,7 +61,6 @@ type prepared = {
   diagnostics : Diagnostic.t list;
   session : Session.t;
   view_memo : (string, Cfg_view.t) Hashtbl.t;
-  phase_ms : (string * float) list;
 }
 
 (* The full decision log of a preparation, in pass order: what the
@@ -86,17 +85,6 @@ let fuel_diags phase (o : Interp.outcome) =
               with the partial profile"
              phase stack_depth);
       ]
-
-(* Wall-clock per phase, kept out of every deterministic artifact: it is
-   only surfaced behind explicit opt-in flags. *)
-let timed phases label f =
-  let t0 = Unix.gettimeofday () in
-  let r = Trace.with_span label f in
-  phases := (label, 1000.0 *. (Unix.gettimeofday () -. t0)) :: !phases;
-  r
-
-let prepare_ms prepared =
-  List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 prepared.phase_ms
 
 (* The session memoizes views once per fingerprint; the extra
    name-indexed memo keeps the frequent [views prep name] lookups (and
@@ -199,7 +187,7 @@ let layout_of_flags ~(flags : opt_flags) session p (o : Interp.outcome) =
    bodies that no longer exist once a trace is duplicated, so a changed
    program gets a fresh edge profile before inlining consumes it.
    Mismatched or stale traces degrade to diagnostics, never errors. *)
-let superblock_phase ~(flags : opt_flags) ~session ~cache ~phases
+let superblock_phase ~(flags : opt_flags) ~session ~cache
     ~(loaded : Profile_io.loaded) p =
   if not flags.superblocks then (p, Superblock.empty_stats, loaded.Profile_io.edges, [])
   else begin
@@ -212,7 +200,7 @@ let superblock_phase ~(flags : opt_flags) ~session ~cache ~phases
     let hot_paths = List.map (fun (n, path, _) -> (n, path)) picked in
     let path_weights = List.map (fun (n, _, f) -> (n, f)) picked in
     let p', stats =
-      timed phases "superblock" (fun () ->
+      Trace.with_span "superblock" (fun () ->
           Superblock.form ~max_trace:flags.max_trace ~path_weights p ~hot_paths)
     in
     let diags =
@@ -228,7 +216,7 @@ let superblock_phase ~(flags : opt_flags) ~session ~cache ~phases
     else begin
       ignore (Session.sync session p');
       let o =
-        timed phases "sb-profile" (fun () ->
+        Trace.with_span "sb-profile" (fun () ->
             Interp.run ?cache ~config:edges_only p')
       in
       (p', stats, Option.get o.Interp.edge_profile, diags @ fuel_diags "sb-profile" o)
@@ -238,30 +226,29 @@ let superblock_phase ~(flags : opt_flags) ~session ~cache ~phases
 let prepare ?session ?(flags = default_flags) ~name p =
   let session = make_session ?session ~name () in
   let cache = Session.lower_cache session in
-  let phases = ref [] in
   Trace.with_span ~args:[ ("bench", name) ] "prepare" @@ fun () ->
   ignore (Session.sync session p);
   let orig_outcome =
-    timed phases "edge-profile" (fun () -> Interp.run ?cache p)
+    Trace.with_span "edge-profile" (fun () -> Interp.run ?cache p)
   in
   let ep0 = Option.get orig_outcome.Interp.edge_profile in
   let inlined, inline_stats =
-    timed phases "inline" (fun () ->
+    Trace.with_span "inline" (fun () ->
         Ppp_opt.Inline.run p ~block_freq:(block_freq_fn session p ep0))
   in
   ignore (Session.sync session inlined);
   let o1 =
-    timed phases "re-profile" (fun () ->
+    Trace.with_span "re-profile" (fun () ->
         Interp.run ?cache ~config:edges_only inlined)
   in
   let ep1 = Option.get o1.Interp.edge_profile in
   let optimized, unroll_stats =
-    timed phases "unroll" (fun () ->
+    Trace.with_span "unroll" (fun () ->
         Ppp_opt.Unroll.run inlined ~edge_profile:ep1)
   in
   ignore (Session.sync session optimized);
   let base_outcome =
-    timed phases "base-run" (fun () -> Interp.run ?cache optimized)
+    Trace.with_span "base-run" (fun () -> Interp.run ?cache optimized)
   in
   {
     bench_name = name;
@@ -280,19 +267,17 @@ let prepare ?session ?(flags = default_flags) ~name p =
       @ fuel_diags "base" base_outcome;
     session;
     view_memo = Hashtbl.create 17;
-    phase_ms = List.rev !phases;
   }
 
 let prepare_with_profile ?session ?(flags = default_flags) ~name
     ~(loaded : Profile_io.loaded) p =
   let session = make_session ?session ~name () in
   let cache = Session.lower_cache session in
-  let phases = ref [] in
   Trace.with_span ~args:[ ("bench", name) ] "prepare-with-profile" @@ fun () ->
   ignore (Session.sync session p);
   let confidence = loaded.Profile_io.matched_fraction in
   let sb_p, superblock_stats, ep0, sb_diags =
-    superblock_phase ~flags ~session ~cache ~phases ~loaded p
+    superblock_phase ~flags ~session ~cache ~loaded p
   in
   (* Confidence-weighted hotness: salvaged counts must clear a higher bar
      before they justify inlining a call site. *)
@@ -300,23 +285,23 @@ let prepare_with_profile ?session ?(flags = default_flags) ~name
     int_of_float (Float.ceil (16.0 /. Float.max 0.05 confidence))
   in
   let inlined, inline_stats =
-    timed phases "inline" (fun () ->
+    Trace.with_span "inline" (fun () ->
         Ppp_opt.Inline.run ~min_site_freq sb_p
           ~block_freq:(block_freq_fn session sb_p ep0))
   in
   ignore (Session.sync session inlined);
   let o1 =
-    timed phases "re-profile" (fun () ->
+    Trace.with_span "re-profile" (fun () ->
         Interp.run ?cache ~config:edges_only inlined)
   in
   let ep1 = Option.get o1.Interp.edge_profile in
   let optimized, unroll_stats =
-    timed phases "unroll" (fun () ->
+    Trace.with_span "unroll" (fun () ->
         Ppp_opt.Unroll.run inlined ~edge_profile:ep1)
   in
   ignore (Session.sync session optimized);
   let base_outcome =
-    timed phases "base-run" (fun () -> Interp.run ?cache optimized)
+    Trace.with_span "base-run" (fun () -> Interp.run ?cache optimized)
   in
   {
     bench_name = name;
@@ -335,17 +320,15 @@ let prepare_with_profile ?session ?(flags = default_flags) ~name
       @ fuel_diags "base" base_outcome;
     session;
     view_memo = Hashtbl.create 17;
-    phase_ms = List.rev !phases;
   }
 
 let prepare_unoptimized ?session ~name p =
   let session = make_session ?session ~name () in
   let cache = Session.lower_cache session in
-  let phases = ref [] in
   Trace.with_span ~args:[ ("bench", name) ] "prepare" @@ fun () ->
   ignore (Session.sync session p);
   let orig_outcome =
-    timed phases "edge-profile" (fun () -> Interp.run ?cache p)
+    Trace.with_span "edge-profile" (fun () -> Interp.run ?cache p)
   in
   {
     bench_name = name;
@@ -377,7 +360,6 @@ let prepare_unoptimized ?session ~name p =
     diagnostics = fuel_diags "edge-profile" orig_outcome;
     session;
     view_memo = Hashtbl.create 17;
-    phase_ms = List.rev !phases;
   }
 
 let actual_profile prepared = Option.get prepared.base_outcome.Interp.path_profile

@@ -18,6 +18,11 @@
     tables, so they collect neither, and their outcomes carry no
     profiles; {!tiered_run} keeps the default collection.
 
+    Each named phase above (and ["inline"], ["unroll"], ["superblock"])
+    runs inside a {!Ppp_obs.Trace} span of that name, nested under a
+    ["prepare"] (or ["prepare-with-profile"]) span; their wall-clock
+    time is read from a trace, never from a prepared record.
+
     Every pipeline run works against a {!Ppp_session.Session}: a
     content-addressed store of per-routine analyses (CFG views,
     dominators, loop nests, flow contexts, definite-flow DPs, structural
@@ -81,10 +86,6 @@ type prepared = {
       (** the analysis store every later evaluation draws from *)
   view_memo : (string, Ppp_ir.Cfg_view.t) Hashtbl.t;
       (** name-indexed front of the session's views (internal memo) *)
-  phase_ms : (string * float) list;
-      (** wall-clock milliseconds per preparation phase, in order —
-          nondeterministic, so never included in machine-readable
-          artifacts unless explicitly requested *)
 }
 
 val decisions : prepared -> Ppp_opt.Decision.t list
@@ -130,9 +131,6 @@ val prepare_with_profile :
     so inlining consumes edge counts for the bodies it sees, and traces
     the current CFG can no longer follow become [Stale] warning
     diagnostics rather than silent skips. *)
-
-val prepare_ms : prepared -> float
-(** Total wall-clock milliseconds of the preparation phases. *)
 
 val views : prepared -> string -> Ppp_ir.Cfg_view.t
 (** CFG views of the optimized program's routines, memoized through the

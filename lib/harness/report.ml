@@ -341,8 +341,7 @@ let sampling_report ppf benches =
    hot ones swap onto optimized re-lowerings mid-run) against the
    two-pass instrument-then-optimize flow the rest of the bench
    measures. Everything here is cost-model arithmetic plus deterministic
-   VM runs, so the numbers are safe in the sharded document; wall-clock
-   comparison lives in the bench driver and is opt-in like [timing]. *)
+   VM runs, so the numbers are safe in the sharded document. *)
 
 let tier_threshold = Tier.default_threshold
 
@@ -357,7 +356,6 @@ type tiered_stats = {
   tt_base_score : float;  (** layout proxy, source order *)
   tt_swapped_score : float;  (** layout proxy under the installed orders *)
   tt_improvement : float;
-  tt_instrumented : Instrument.t;  (** for the driver's wall-clock mode *)
 }
 
 let tiered_cache : (string, tiered_stats) Hashtbl.t = Hashtbl.create 17
@@ -418,7 +416,6 @@ let tiered_of pb =
           tt_swapped_score = swapped_score;
           tt_improvement =
             Score.layout_improvement ~base:base_score ~candidate:swapped_score;
-          tt_instrumented = inst;
         }
       in
       Hashtbl.replace tiered_cache key ts;
@@ -738,34 +735,26 @@ let sampling_json pb =
 
 (* Deterministic (cost model + VM runs), so tiered objects are safe in
    the sharded document; opt-in because the tiered run plus the untiered
-   comparison run cost two extra instrumented executions. [timing] adds
-   the driver's wall-clock single-run-vs-two-pass measurement when it
-   ran (never under -j). *)
-let tiered_json ?(timing = fun _ -> None) pb =
+   comparison run cost two extra instrumented executions. *)
+let tiered_json pb =
   let ts = tiered_of pb in
-  let timing_fields =
-    match timing pb.spec.Spec.bench_name with
-    | None -> []
-    | Some t -> [ ("timing", t) ]
-  in
   J.Obj
-    ([
-       ("threshold", J.Int ts.tt_threshold);
-       ("routines", J.Int ts.tt_routines);
-       ("swapped", J.Int ts.tt_swapped);
-       ("reordered", J.Int ts.tt_reordered);
-       ("untiered_instr_cost", J.Int ts.tt_untiered_instr_cost);
-       ("tiered_instr_cost", J.Int ts.tt_tiered_instr_cost);
-       ("instr_saving", J.Float ts.tt_saving);
-       ( "layout",
-         J.Obj
-           [
-             ("base_score", J.Float ts.tt_base_score);
-             ("swapped_score", J.Float ts.tt_swapped_score);
-             ("improvement", J.Float ts.tt_improvement);
-           ] );
-     ]
-    @ timing_fields)
+    [
+      ("threshold", J.Int ts.tt_threshold);
+      ("routines", J.Int ts.tt_routines);
+      ("swapped", J.Int ts.tt_swapped);
+      ("reordered", J.Int ts.tt_reordered);
+      ("untiered_instr_cost", J.Int ts.tt_untiered_instr_cost);
+      ("tiered_instr_cost", J.Int ts.tt_tiered_instr_cost);
+      ("instr_saving", J.Float ts.tt_saving);
+      ( "layout",
+        J.Obj
+          [
+            ("base_score", J.Float ts.tt_base_score);
+            ("swapped_score", J.Float ts.tt_swapped_score);
+            ("improvement", J.Float ts.tt_improvement);
+          ] );
+    ]
 
 (* Deterministic (fixed seed and decay), so drift objects are safe in
    the sharded document and the baseline; opt-in because each one runs
@@ -797,39 +786,10 @@ let drift_json pb =
       ("churn_gap", J.Float ds.dr_churn_gap);
     ]
 
-let bench_json_one ?(timing = fun _ -> None) ?(throughput = fun _ -> None)
-    ?(prepare = false) ?(sampling = false) ?(tiered = false)
-    ?tiered_timing ?(drift = false) pb =
+let bench_json_one ?(throughput = fun _ -> None) ?(sampling = false)
+    ?(tiered = false) ?(drift = false) pb =
   let e = evals_of pb in
   let prep = pb.prep in
-  let timing_fields =
-    match timing pb.spec.Spec.bench_name with
-    | None -> []
-    | Some t -> [ ("timing", t) ]
-  in
-  let throughput_fields =
-    match throughput pb.spec.Spec.bench_name with
-    | None -> []
-    | Some t -> [ ("throughput", t) ]
-  in
-  (* Wall-clock, so opt-in only: a sharded run must stay byte-identical
-     at every -j and never includes it. *)
-  let prepare_fields =
-    if not prepare then []
-    else
-      [
-        ( "prepare",
-          J.Obj
-            [
-              ("total_ms", J.Float (Pipeline.prepare_ms prep));
-              ( "phases",
-                J.Obj
-                  (List.map
-                     (fun (phase, ms) -> (phase, J.Float ms))
-                     prep.Pipeline.phase_ms) );
-            ] );
-      ]
-  in
   J.Obj
     ([
        ("name", J.Str pb.spec.Spec.bench_name);
@@ -849,10 +809,12 @@ let bench_json_one ?(timing = fun _ -> None) ?(throughput = fun _ -> None)
        ("layout", layout_json pb);
      ]
     @ (if sampling then [ ("sampling", sampling_json pb) ] else [])
-    @ (if tiered then [ ("tiered", tiered_json ?timing:tiered_timing pb) ]
-       else [])
+    @ (if tiered then [ ("tiered", tiered_json pb) ] else [])
     @ (if drift then [ ("drift", drift_json pb) ] else [])
-    @ timing_fields @ throughput_fields @ prepare_fields)
+    @ Option.to_list
+        (Option.map
+           (fun t -> ("throughput", t))
+           (throughput pb.spec.Spec.bench_name)))
 
 let bench_json_wrap ?(scale = 1) ?seed rows =
   let seed_field = match seed with None -> [] | Some s -> [ ("seed", J.Int s) ] in
@@ -860,11 +822,6 @@ let bench_json_wrap ?(scale = 1) ?seed rows =
     ([ ("schema", J.Str "ppp-bench/1"); ("scale", J.Int scale) ]
     @ seed_field
     @ [ ("benchmarks", J.Arr rows) ])
-
-let bench_json ?scale ?timing ?throughput ?sampling ?tiered ?drift benches =
-  bench_json_wrap ?scale
-    (List.map (bench_json_one ?timing ?throughput ?sampling ?tiered ?drift)
-       benches)
 
 let section8_1 ppf benches =
   let _, _, acc = averages benches (fun pb -> (evals_of pb).edge.Pipeline.accuracy) in

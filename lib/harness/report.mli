@@ -73,8 +73,7 @@ val sampling_report : Format.formatter -> prepared_bench list -> unit
     One run with the {!Ppp_interp.Tier} controller armed — routines
     start instrumented, hot ones swap onto optimized re-lowerings
     mid-run — against the two-pass instrument-then-optimize flow the
-    rest of the bench measures. Deterministic except for the driver's
-    opt-in wall-clock comparison. *)
+    rest of the bench measures. Deterministic. *)
 
 val tier_threshold : int
 (** Trip threshold the bench arms the controller with
@@ -93,9 +92,6 @@ type tiered_stats = {
       (** {!Ppp_interp.Layout.program_proxy} score in source order *)
   tt_swapped_score : float;  (** ... under the orders the swaps installed *)
   tt_improvement : float;
-  tt_instrumented : Ppp_core.Instrument.t;
-      (** the shared instrumentation, so the driver's wall-clock mode
-          times exactly the compared runs *)
 }
 
 val tiered_of : prepared_bench -> tiered_stats
@@ -106,14 +102,6 @@ val tiered_of : prepared_bench -> tiered_stats
 val tiered_report : Format.formatter -> prepared_bench list -> unit
 (** Per-benchmark swap counts, instrumentation-cost savings and layout
     proxy scores of the tiered run. *)
-
-val tiered_json :
-  ?timing:(string -> Ppp_obs.Jsonx.t option) ->
-  prepared_bench ->
-  Ppp_obs.Jsonx.t
-(** The benchmark's tiered object (threshold, swap counts, instr-cost
-    savings, layout scores), plus whatever [timing] returns — the
-    driver's tiered-vs-two-pass wall clock, never present under [-j]. *)
 
 (** {2 Drift sweep}
 
@@ -166,54 +154,27 @@ val drift_report : Format.formatter -> prepared_bench list -> unit
 (** Per-benchmark stability at every generation of both loops, with the
     churn gap and fleet averages. *)
 
-val drift_json : prepared_bench -> Ppp_obs.Jsonx.t
-(** The benchmark's drift object: loop parameters, per-generation
-    stability/overhead/matched-fraction pairs, and the generation-2
-    stability summary the bench floor reads. *)
-
-val bench_json :
-  ?scale:int ->
-  ?timing:(string -> Ppp_obs.Jsonx.t option) ->
-  ?throughput:(string -> Ppp_obs.Jsonx.t option) ->
-  ?sampling:bool ->
-  ?tiered:bool ->
-  ?drift:bool ->
-  prepared_bench list ->
-  Ppp_obs.Jsonx.t
-(** The machine-readable benchmark record written to [BENCH_*.json]:
-    per-benchmark overhead / accuracy / coverage (and the secondary
-    statistics) for every method, plus whatever [timing] returns for the
-    benchmark (wall-clock results, when the timing action ran) and
-    whatever [throughput] returns (per-engine Minstr/s, when the
-    [--throughput] mode ran). *)
-
-val sampling_json : prepared_bench -> Ppp_obs.Jsonx.t
-(** The benchmark's sampling-sweep object: burst, seed, and one record
-    per swept rate (rate, denom, overhead, overlap_vs_full,
-    overlap_vs_truth, tv_vs_full). *)
-
 val bench_json_one :
-  ?timing:(string -> Ppp_obs.Jsonx.t option) ->
   ?throughput:(string -> Ppp_obs.Jsonx.t option) ->
-  ?prepare:bool ->
   ?sampling:bool ->
   ?tiered:bool ->
-  ?tiered_timing:(string -> Ppp_obs.Jsonx.t option) ->
   ?drift:bool ->
   prepared_bench ->
   Ppp_obs.Jsonx.t
-(** One benchmark's row of {!bench_json} — what a shard worker computes
-    and sends back when the harness runs under [-j]. [prepare] (default
-    [false]) additionally records the preparation wall-clock per phase
-    ({!Pipeline.prepared.phase_ms}); it is opt-in because wall-clock is
-    nondeterministic, and sharded runs never include it so their
-    document stays byte-identical at every [-j]. [sampling] (default
-    [false]) adds the {!sampling_json} sweep — deterministic, so safe
-    under [-j], but opt-in because it costs four extra instrumented
-    evaluations. [tiered] (default [false]) adds the {!tiered_json}
-    object (with [tiered_timing]'s wall clock when the driver measured
-    it — never under [-j]); [drift] (default [false]) adds the
-    {!drift_json} object. Both are deterministic and [-j]-safe. *)
+(** One benchmark's row of the machine-readable [BENCH_*.json] record —
+    what a shard worker computes and sends back when the harness runs
+    under [-j]: per-method overhead / accuracy / coverage (and the
+    secondary statistics) and the layout proxy scores, plus whatever
+    [throughput] returns for the benchmark (per-engine Minstr/s, when
+    the driver's [--throughput] mode ran; never under [-j]). The
+    optional sections are deterministic, so safe under [-j], and opt-in
+    because each costs extra evaluations: [sampling] (default [false])
+    adds the sweep object (burst, seed, and per swept rate its overhead,
+    [overlap_vs_full], [overlap_vs_truth] and [tv_vs_full]); [tiered]
+    (default [false]) the tiered object ({!tiered_stats}); [drift]
+    (default [false]) the drift object (loop parameters, per-generation
+    stability/overhead/matched fractions, and the generation-2 summary
+    the bench floor reads). *)
 
 val bench_json_wrap : ?scale:int -> ?seed:int -> Ppp_obs.Jsonx.t list -> Ppp_obs.Jsonx.t
 (** Assemble {!bench_json_one} rows (in benchmark order) into the full

@@ -335,11 +335,10 @@ let test_gate_missing_metric () =
     (List.length strict.Gate.warnings);
   Alcotest.(check bool) "strict failure carries NaN current" true
     (Float.is_nan (List.hd strict.Gate.failures).Gate.current);
-  (* A real regression still fails either way, and check keeps its old
-     lax semantics. *)
+  (* A real regression still fails in a lax run. *)
   let regressed = gate_doc [ bench_doc ~methods:[ ("pp", 2.0); ("ppp", 1.0) ] "x" ] in
   Alcotest.(check int) "regression fails non-strict" 1
-    (List.length (Gate.check ~baseline ~current:regressed ~pct:10.0))
+    (List.length ((Gate.run ~baseline ~current:regressed ~pct:10.0 ()).failures))
 
 let floors_doc methods =
   Jsonx.Obj
@@ -435,11 +434,11 @@ let tiered_doc ~saving ~improvement name =
 let test_gate_tiered_drift_floors () =
   let baseline = gate_doc [ tiered_doc ~saving:0.9 ~improvement:2.0 "x" ] in
   Alcotest.(check int) "identical documents pass" 0
-    (List.length (Gate.check ~baseline ~current:baseline ~pct:5.0));
+    (List.length ((Gate.run ~baseline ~current:baseline ~pct:5.0 ()).failures));
   (* These are floors: sinking below baseline is the regression,
      exceeding it never is. *)
   let sunk = gate_doc [ tiered_doc ~saving:0.5 ~improvement:(-1.0) "x" ] in
-  let fails = Gate.check ~baseline ~current:sunk ~pct:5.0 in
+  let fails = (Gate.run ~baseline ~current:sunk ~pct:5.0 ()).failures in
   Alcotest.(check int) "retired saving and layout floors both fail" 2
     (List.length fails);
   Alcotest.(check bool) "failures name the tiered metrics" true
@@ -449,7 +448,7 @@ let test_gate_tiered_drift_floors () =
          fails);
   let better = gate_doc [ tiered_doc ~saving:0.99 ~improvement:3.0 "x" ] in
   Alcotest.(check int) "improving on the floor passes" 0
-    (List.length (Gate.check ~baseline ~current:better ~pct:5.0));
+    (List.length ((Gate.run ~baseline ~current:better ~pct:5.0 ()).failures));
   let churned =
     gate_doc
       [
@@ -474,6 +473,85 @@ let test_gate_tiered_drift_floors () =
     (List.exists
        (fun (f : Gate.failure) -> f.Gate.metric = "tiered")
        strict.Gate.failures)
+
+(* {2 The gate table, row by row} *)
+
+(* Label (at rate 1/4 for the sampling rows) and direction of every
+   gated metric, in table order. *)
+let gate_rows =
+  Gate.
+    [
+      ("pp.overhead", Ceiling);
+      ("tpp.overhead", Ceiling);
+      ("ppp.overhead", Ceiling);
+      ("throughput.ratio", Floor);
+      ("layout.methods.ppp.improvement", Floor);
+      ("layout.closed_loop.improvement", Floor);
+      ("sampling.1/4.overhead", Ceiling);
+      ("sampling.1/4.overlap_vs_full", Floor);
+      ("sampling.1/4.overlap_vs_truth", Floor);
+      ("tiered.instr_saving", Floor);
+      ("tiered.layout.improvement", Floor);
+      ("drift.drift_stability", Floor);
+    ]
+
+(* A one-benchmark document carrying only [row]'s metric, valued [v];
+   [None] drops the metric and keeps every object above it. A [Rate]
+   step becomes a one-element [rates] array at denom 4. *)
+let row_doc (row : Gate.row) v =
+  let rec build = function
+    | [] -> assert false
+    | [ Gate.Key k ] ->
+        Jsonx.Obj (match v with None -> [] | Some x -> [ (k, Jsonx.Float x) ])
+    | Gate.Key k :: rest -> Jsonx.Obj [ (k, build rest) ]
+    | Gate.Rate :: rest -> (
+        match build rest with
+        | Jsonx.Obj kvs ->
+            Jsonx.Arr [ Jsonx.Obj (("denom", Jsonx.Int 4) :: kvs) ]
+        | _ -> assert false)
+  in
+  match build row.Gate.path with
+  | Jsonx.Obj kvs -> gate_doc [ Jsonx.Obj (("name", Jsonx.Str "x") :: kvs) ]
+  | _ -> assert false
+
+let test_gate_table () =
+  Alcotest.(check int) "one row per gated metric" (List.length gate_rows)
+    (List.length Gate.table);
+  List.iter2
+    (fun (row : Gate.row) (label, direction) ->
+      let check_metrics name expected metrics =
+        Alcotest.(check (list string)) (label ^ ": " ^ name) expected metrics
+      in
+      Alcotest.(check bool) (label ^ ": direction") true
+        (row.Gate.direction = direction);
+      let gate ?strict v =
+        Gate.run ?strict ~baseline:(row_doc row (Some 1.0))
+          ~current:(row_doc row v) ~pct:10.0 ()
+      in
+      let failures r =
+        List.map (fun (f : Gate.failure) -> f.Gate.metric) r.Gate.failures
+      in
+      let warnings r =
+        List.map (fun (w : Gate.warning) -> w.Gate.metric) r.Gate.warnings
+      in
+      let worse, slightly_worse, better =
+        match direction with
+        | Gate.Ceiling -> (1.2, 1.05, 0.5)
+        | Gate.Floor -> (0.8, 0.95, 1.5)
+      in
+      check_metrics "past the tolerance fails" [ label ]
+        (failures (gate (Some worse)));
+      check_metrics "within the tolerance passes" []
+        (failures (gate (Some slightly_worse)));
+      let r = gate (Some better) in
+      check_metrics "the good direction passes" [] (failures r @ warnings r);
+      let lax = gate None in
+      check_metrics "missing warns (lax)" [ label ] (warnings lax);
+      check_metrics "missing is no failure (lax)" [] (failures lax);
+      let strict = gate ~strict:true None in
+      check_metrics "missing fails (strict)" [ label ] (failures strict);
+      check_metrics "no warning (strict)" [] (warnings strict))
+    Gate.table gate_rows
 
 (* {2 VM telemetry} *)
 
@@ -829,6 +907,8 @@ let suite =
       Alcotest.test_case "reoptimize drift mode" `Quick test_reoptimize_drift;
       Alcotest.test_case "gate enforces tiered and drift floors" `Quick
         test_gate_tiered_drift_floors;
+      Alcotest.test_case "gate table: every row, both directions, missing"
+        `Quick test_gate_table;
       Alcotest.test_case "telemetry ring" `Quick test_telemetry_ring;
       Alcotest.test_case "telemetry on a short run" `Quick
         test_telemetry_short_run;

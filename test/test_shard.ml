@@ -166,17 +166,7 @@ let test_worker_exception () =
 
 (* {2 The perf gate} *)
 
-let doc ?(schema = "ppp-bench/1") ?timing ~name ~ppp_overhead () =
-  let timing_fields =
-    match timing with
-    | None -> []
-    | Some (base_ns, ppp_ns) ->
-        [
-          ( "timing",
-            J.Obj [ ("base_ns", J.Float base_ns); ("ppp_ns", J.Float ppp_ns) ]
-          );
-        ]
-  in
+let doc ?(schema = "ppp-bench/1") ~name ~ppp_overhead () =
   J.Obj
     [
       ("schema", J.Str schema);
@@ -185,72 +175,52 @@ let doc ?(schema = "ppp-bench/1") ?timing ~name ~ppp_overhead () =
         J.Arr
           [
             J.Obj
-              ([
-                 ("name", J.Str name);
-                 ( "methods",
-                   J.Obj [ ("ppp", J.Obj [ ("overhead", J.Float ppp_overhead) ]) ]
-                 );
-               ]
-              @ timing_fields);
+              [
+                ("name", J.Str name);
+                ( "methods",
+                  J.Obj [ ("ppp", J.Obj [ ("overhead", J.Float ppp_overhead) ]) ]
+                );
+              ];
           ] );
     ]
 
 let test_gate_semantics () =
   let base = doc ~name:"vpr" ~ppp_overhead:0.10 () in
   check_int "identical docs pass" 0
-    (List.length (Gate.check ~baseline:base ~current:base ~pct:1.0));
+    (List.length ((Gate.run ~baseline:base ~current:base ~pct:1.0 ()).failures));
   check_int "improvement passes" 0
     (List.length
-       (Gate.check ~baseline:base
+       ((Gate.run ~baseline:base
           ~current:(doc ~name:"vpr" ~ppp_overhead:0.05 ())
-          ~pct:1.0));
+          ~pct:1.0 ()).failures));
   (match
-     Gate.check ~baseline:base
+     (Gate.run ~baseline:base
        ~current:(doc ~name:"vpr" ~ppp_overhead:0.2 ())
-       ~pct:25.0
+       ~pct:25.0 ()).failures
    with
   | [ f ] ->
       check_string "regression metric" "ppp.overhead" f.Gate.metric;
       check_string "regression bench" "vpr" f.Gate.bench
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 failure, got %d" (List.length fs)));
   check_bool "within tolerance passes" true
-    (Gate.check ~baseline:base
+    ((Gate.run ~baseline:base
        ~current:(doc ~name:"vpr" ~ppp_overhead:0.11 ())
-       ~pct:25.0
+       ~pct:25.0 ()).failures
     = []);
   (match
-     Gate.check ~baseline:base
+     (Gate.run ~baseline:base
        ~current:(doc ~name:"mcf" ~ppp_overhead:0.10 ())
-       ~pct:1.0
+       ~pct:1.0 ()).failures
    with
   | [ f ] -> check_string "missing bench is a failure" "missing" f.Gate.metric
   | _ -> Alcotest.fail "expected a missing-bench failure");
   (match
-     Gate.check ~baseline:base
+     (Gate.run ~baseline:base
        ~current:(doc ~schema:"ppp-bench/2" ~name:"vpr" ~ppp_overhead:0.10 ())
-       ~pct:1.0
+       ~pct:1.0 ()).failures
    with
   | [ f ] -> check_string "schema mismatch is a failure" "schema" f.Gate.metric
-  | _ -> Alcotest.fail "expected a schema failure");
-  (* Wall-clock ratios gate only when both sides carry timing. *)
-  let base_t = doc ~name:"vpr" ~ppp_overhead:0.10 ~timing:(100., 110.) () in
-  check_int "timing ratio within tolerance passes" 0
-    (List.length
-       (Gate.check ~baseline:base_t
-          ~current:(doc ~name:"vpr" ~ppp_overhead:0.10 ~timing:(200., 222.) ())
-          ~pct:5.0));
-  (match
-     Gate.check ~baseline:base_t
-       ~current:(doc ~name:"vpr" ~ppp_overhead:0.10 ~timing:(100., 160.) ())
-       ~pct:20.0
-   with
-  | [ f ] -> check_string "timing regression caught" "timing.ppp_ns" f.Gate.metric
-  | _ -> Alcotest.fail "expected a timing failure");
-  check_int "timing ignored when current has none" 0
-    (List.length
-       (Gate.check ~baseline:base_t
-          ~current:(doc ~name:"vpr" ~ppp_overhead:0.10 ())
-          ~pct:1.0))
+  | _ -> Alcotest.fail "expected a schema failure")
 
 (* The gate smoke path end-to-end on a cheap subset: two independently
    computed documents of the same tree gate cleanly at a tight
@@ -262,7 +232,7 @@ let test_gate_smoke_subset () =
   let doc_a = J.canonical (R.bench_json_wrap ~scale:1 ~seed:0 (rows ())) in
   let doc_b = J.canonical (R.bench_json_wrap ~scale:1 ~seed:0 (rows ())) in
   check_int "unchanged tree gates cleanly" 0
-    (List.length (Gate.check ~baseline:doc_a ~current:doc_b ~pct:0.01));
+    (List.length ((Gate.run ~baseline:doc_a ~current:doc_b ~pct:0.01 ()).failures));
   (* Schema round-trip: parsing the canonical text and re-rendering it
      is byte-stable (floats may lose bits of precision on the first
      print, but the printed form is a fixed point). *)
@@ -292,7 +262,7 @@ let test_committed_baseline () =
   check_bool "baseline text is canonical" true
     (String.trim text = J.to_string (J.canonical doc));
   check_int "baseline gates cleanly against itself" 0
-    (List.length (Gate.check ~baseline:doc ~current:doc ~pct:0.01))
+    (List.length ((Gate.run ~baseline:doc ~current:doc ~pct:0.01 ()).failures))
 
 let suite =
   [
